@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,15 @@ def sq12_file(tmp_path, capsys):
 
 
 @pytest.fixture
+def star_file(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen", "tight-star", "2")
+    assert code == 0
+    f = tmp_path / "star.tree"
+    f.write_text(out)
+    return str(f)
+
+
+@pytest.fixture
 def ring_file(tmp_path):
     n = 6
     lines = [f"graph {n}"]
@@ -42,6 +52,110 @@ def ring_file(tmp_path):
     f = tmp_path / "ring.graph"
     f.write_text("\n".join(lines) + "\n")
     return str(f)
+
+
+# One case per report the CLI can print: argv with file placeholders, the
+# exit code, the text line and the --json object (wall_time_ms masked).
+_GOLDEN = {
+    "check-only-ok": (
+        ["find-subtree", "{path}", "6", "2", "--check-only"], 0,
+        "CONDITIONS range_ok=ok slack_ok=ok lower_ok=ok upper_ok=ok cap_ok=ok overall=ok",
+        '{"input_digest": "05322bf61b43", "outcome": "found", "payload": {"flags": '
+        '{"cap_ok": true, "lower_ok": true, "range_ok": true, "slack_ok": true, '
+        '"upper_ok": true}, "g": 2, "h": 3, "k": 6, "n2": 11, "overall": true}, '
+        '"step_count": null, "subcommand": "find-subtree", "wall_time_ms": 0}'),
+    "check-only-fail": (
+        ["find-subtree", "{star}", "4", "1", "--check-only"], 2,
+        "CONDITIONS range_ok=ok slack_ok=FAIL lower_ok=ok upper_ok=ok cap_ok=ok overall=FAIL",
+        '{"input_digest": "a9f1a5937a8b", "outcome": "not-found", "payload": {"flags": '
+        '{"cap_ok": true, "lower_ok": true, "range_ok": true, "slack_ok": false, '
+        '"upper_ok": true}, "g": 1, "h": 1, "k": 4, "n2": 7, "overall": false}, '
+        '"step_count": null, "subcommand": "find-subtree", "wall_time_ms": 0}'),
+    "subtree-found": (
+        ["find-subtree", "{path}", "6", "2"], 0,
+        "SUBTREE weight=5 vertices=0,1,2",
+        '{"input_digest": "05322bf61b43", "outcome": "found", "payload": '
+        '{"vertices": [0, 1, 2], "weight": 5, "window": [0, 2]}, "step_count": 2, '
+        '"subcommand": "find-subtree", "wall_time_ms": 0}'),
+    "subtree-not-found": (
+        ["find-subtree", "{star}", "4", "1"], 2,
+        "NOTFOUND",
+        '{"input_digest": "a9f1a5937a8b", "outcome": "not-found", "payload": null, '
+        '"step_count": null, "subcommand": "find-subtree", "wall_time_ms": 0}'),
+    "cycle-found": (
+        ["find-cycle", "{sq12}", "7", "1"], 0,
+        "CYCLE length=7 vertices=0,1,2,4,6,8,10",
+        '{"input_digest": "4caea86c362b", "outcome": "found", "payload": '
+        '{"length": 7, "vertices": [0, 1, 2, 4, 6, 8, 10]}, "step_count": null, '
+        '"subcommand": "find-cycle", "wall_time_ms": 0}'),
+    "cycle-not-found": (
+        ["find-cycle", "{ring}", "5", "1"], 2,
+        "NOTFOUND",
+        '{"input_digest": "9e07f87fe989", "outcome": "not-found", "payload": null, '
+        '"step_count": null, "subcommand": "find-cycle", "wall_time_ms": 0}'),
+    "partition-not-applicable": (
+        ["subset-sum", "2,2,2", "--partition"], 2,
+        "NOTAPPLICABLE",
+        '{"input_digest": "afc20aebee5c", "outcome": "not-applicable", "payload": null, '
+        '"step_count": null, "subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "partition-true": (
+        ["subset-sum", "1,1,1,1,2", "--partition"], 0,
+        "PARTITION TRUE left=0,1,2",
+        '{"input_digest": "429249f951c3", "outcome": "found", "payload": '
+        '{"decision": true, "witness": [0, 1, 2]}, "step_count": null, '
+        '"subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "partition-false": (
+        ["subset-sum", "2,2,2", "--partition", "--fallback-oracle"], 2,
+        "PARTITION FALSE",
+        '{"input_digest": "afc20aebee5c", "outcome": "not-found", "payload": '
+        '{"decision": false, "witness": null}, "step_count": null, '
+        '"subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "subset-not-applicable": (
+        ["subset-sum", "3,1,4,1,5", "9"], 2,
+        "NOTAPPLICABLE",
+        '{"input_digest": "07d181e1d5bf", "outcome": "not-applicable", "payload": null, '
+        '"step_count": null, "subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "subset-true": (
+        ["subset-sum", "1,2,1,2,1", "4"], 0,
+        "SUBSETSUM TRUE indices=0,1,2",
+        '{"input_digest": "c231e247f2f1", "outcome": "found", "payload": '
+        '{"decision": true, "method": "dense", "witness": [0, 1, 2]}, '
+        '"step_count": null, "subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "subset-false": (
+        ["subset-sum", "6,1,1,1,1", "5"], 2,
+        "SUBSETSUM FALSE",
+        '{"input_digest": "3654b5d75e05", "outcome": "not-found", "payload": '
+        '{"decision": false, "method": "via-partition", "witness": null}, '
+        '"step_count": null, "subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "oracle-k": (
+        ["oracle", "{star}", "--k", "4"], 2,
+        "WEIGHTS k=4 absent",
+        '{"input_digest": "a9f1a5937a8b", "outcome": "not-found", "payload": '
+        '{"k": 4, "weights": [1, 2, 3, 5, 7]}, "step_count": null, '
+        '"subcommand": "oracle", "wall_time_ms": 0}'),
+    "oracle": (
+        ["oracle", "{star}"], 0,
+        "WEIGHTS 1,2,3,5,7",
+        '{"input_digest": "a9f1a5937a8b", "outcome": "found", "payload": '
+        '{"weights": [1, 2, 3, 5, 7]}, "step_count": null, '
+        '"subcommand": "oracle", "wall_time_ms": 0}'),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_golden_report(capsys, path_file, star_file, sq12_file, ring_file,
+                       case, as_json):
+    argv, code, line, report = _GOLDEN[case]
+    files = {"path": path_file, "star": star_file, "sq12": sq12_file,
+             "ring": ring_file}
+    argv = [arg.format(**files) for arg in argv] + (["--json"] if as_json else [])
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err) == (code, "")
+    if as_json:
+        assert re.fullmatch(r'.*"wall_time_ms": \d+\.\d+}\n', out)
+        out = re.sub(r'"wall_time_ms": [\d.]+', '"wall_time_ms": 0', out)
+    assert out == (report if as_json else line) + "\n"
 
 
 class TestFindSubtree:
