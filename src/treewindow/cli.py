@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import generators
 from .errors import InstanceTooLargeError, TreeWindowError
@@ -38,6 +37,7 @@ from .subsetsum import (
 )
 from .tree import (
     WeightedTree,
+    _content_lines,
     achievable_subtree_weights,
     check_conditions,
     parse_tree,
@@ -46,16 +46,6 @@ from .tree import (
 )
 
 _EXIT = {"found": 0, "not-found": 2, "not-applicable": 2, "error": 1}
-
-
-@dataclass
-class RunReport:
-    subcommand: str
-    input_digest: str
-    outcome: str  # found | not-found | not-applicable | error
-    payload: dict | None
-    step_count: int | None
-    wall_time_ms: float
 
 
 def _digest(text: str) -> str:
@@ -69,13 +59,25 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _emit(report: RunReport, lines: list[str], as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(asdict(report), sort_keys=True))
+def _report(args) -> int:
+    """Run a reporting subcommand, print its line or its JSON report, and
+    map the outcome to the exit code.  The timer covers reading the input.
+
+    Each reporting command returns (input digest, outcome, payload,
+    step count, result line); outcome is found | not-found | not-applicable.
+    """
+    t0 = time.perf_counter()
+    digest, outcome, payload, steps, line = args.run(args)
+    ms = (time.perf_counter() - t0) * 1000
+    if args.json:
+        print(json.dumps({
+            "subcommand": args.command, "input_digest": digest,
+            "outcome": outcome, "payload": payload, "step_count": steps,
+            "wall_time_ms": round(ms, 3),
+        }, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
-    return _EXIT[report.outcome]
+        print(line)
+    return _EXIT[outcome]
 
 
 def _ids(csv: str) -> list[int]:
@@ -87,11 +89,8 @@ def _ids(csv: str) -> list[int]:
 
 def _kind(text: str) -> str:
     """First meaningful token of an instance file: 'tree' or 'graph'."""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            return stripped.split()[0]
-    return ""
+    first = next(_content_lines(text), None)
+    return first[1].split()[0] if first else ""
 
 
 # ---------------------------------------------------------------------------
@@ -99,31 +98,24 @@ def _kind(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_find_subtree(args) -> int:
+def _cmd_find_subtree(args):
     text = _read(args.file)
+    digest = _digest(text)
     tree = parse_tree(text)
-    t0 = time.perf_counter()
 
     if args.check_only:
         report = check_conditions(tree, args.k, args.g)
-        ms = (time.perf_counter() - t0) * 1000
         flags = report.flags()
-        lines = [
-            "CONDITIONS "
-            + " ".join(f"{name}={'ok' if val else 'FAIL'}" for name, val in flags.items())
-            + f" overall={'ok' if report.overall else 'FAIL'}"
-        ]
-        run = RunReport(
-            "find-subtree", _digest(text),
-            "found" if report.overall else "not-found",
-            {"flags": flags, "overall": report.overall,
-             "k": args.k, "g": args.g, "n2": report.params.n2, "h": report.params.h},
-            None, round(ms, 3),
+        states = [*flags.items(), ("overall", report.overall)]
+        line = "CONDITIONS " + " ".join(
+            f"{name}={'ok' if ok else 'FAIL'}" for name, ok in states
         )
-        return _emit(run, lines, args.json)
+        payload = {"flags": flags, "overall": report.overall,
+                   "k": report.k, "g": report.g, "n2": report.n2, "h": report.h}
+        return (digest, "found" if report.overall else "not-found",
+                payload, None, line)
 
     result = find_subtree(tree, args.k, args.g, start=args.start)
-    ms = (time.perf_counter() - t0) * 1000
 
     if args.oracle:
         achievable = achievable_subtree_weights(tree)
@@ -139,20 +131,14 @@ def _cmd_find_subtree(args) -> int:
             )
 
     if result is None:
-        run = RunReport("find-subtree", _digest(text), "not-found",
-                        None, None, round(ms, 3))
-        return _emit(run, ["NOTFOUND"], args.json)
-
-    assert verify_subtree(tree, result, args.k, args.g)
+        return digest, "not-found", None, None, "NOTFOUND"
+    if not verify_subtree(tree, result, args.k, args.g):
+        raise AssertionError(f"search returned an invalid subtree: {result}")
     verts = sorted(result.vertices)
-    run = RunReport(
-        "find-subtree", _digest(text), "found",
-        {"weight": result.weight, "vertices": verts,
-         "window": list(result.window)},
-        result.steps, round(ms, 3),
-    )
+    payload = {"weight": result.weight, "vertices": verts,
+               "window": list(result.window)}
     line = f"SUBTREE weight={result.weight} vertices={','.join(map(str, verts))}"
-    return _emit(run, [line], args.json)
+    return digest, "found", payload, result.steps, line
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +146,10 @@ def _cmd_find_subtree(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_find_cycle(args) -> int:
+def _cmd_find_cycle(args):
     text = _read(args.file)
+    digest = _digest(text)
     graph, ham = parse_graph(text)
-    t0 = time.perf_counter()
 
     if args.half3conn:
         cycle: CycleResult | None = find_half_cycle_3conn(graph, ham)
@@ -171,22 +157,15 @@ def _cmd_find_cycle(args) -> int:
         if args.k is None or args.g is None:
             raise ValueError("find-cycle needs k and g unless --half3conn is given")
         cycle = find_cycle_near(graph, ham, args.k, args.g)
-    ms = (time.perf_counter() - t0) * 1000
 
     if cycle is None:
-        run = RunReport("find-cycle", _digest(text), "not-found",
-                        None, None, round(ms, 3))
-        return _emit(run, ["NOTFOUND"], args.json)
-
-    assert verify_cycle(graph, cycle)
-    run = RunReport(
-        "find-cycle", _digest(text), "found",
-        {"length": cycle.length, "vertices": list(cycle.vertices)},
-        None, round(ms, 3),
-    )
+        return digest, "not-found", None, None, "NOTFOUND"
+    if not verify_cycle(graph, cycle):
+        raise AssertionError(f"search returned an invalid cycle: {cycle}")
+    payload = {"length": cycle.length, "vertices": list(cycle.vertices)}
     line = (f"CYCLE length={cycle.length} "
             f"vertices={','.join(map(str, cycle.vertices))}")
-    return _emit(run, [line], args.json)
+    return digest, "found", payload, None, line
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +201,7 @@ def _solve_subset_sum(values: tuple[int, ...], k: int, fallback: bool):
     return None, None, None
 
 
-def _cmd_subset_sum(args) -> int:
+def _cmd_subset_sum(args):
     raw = args.values
     if args.values_opt is not None:
         raw = args.values_opt
@@ -239,59 +218,38 @@ def _cmd_subset_sum(args) -> int:
         raw = sys.stdin.readline()
     values = tuple(_ids(raw))
     digest = _digest(f"{values}|{args.k}|{args.partition}")
-    t0 = time.perf_counter()
 
     if args.partition:
         if args.k is not None:
             raise ValueError("--partition takes no target k")
-        res = partition_dense(values)
+        target, word, listed, extra = sum(values) // 2, "PARTITION", "left", {}
+        res = partition_dense(values)  # raises on an odd total
         if res is NOT_APPLICABLE and args.fallback_oracle:
-            total = sum(values)
-            wit = (oracle_subset_sum(values, total // 2)
-                   if total % 2 == 0 else None)
+            wit = oracle_subset_sum(values, target)
             res = Decision(wit is not None, wit)
-        ms = (time.perf_counter() - t0) * 1000
-        if res is NOT_APPLICABLE:
-            run = RunReport("subset-sum", digest, "not-applicable",
-                            None, None, round(ms, 3))
-            return _emit(run, ["NOTAPPLICABLE"], args.json)
-        if res.value:
-            assert res.witness is not None
-            assert verify_witness(values, res.witness, sum(values) // 2)
-            idxs = ",".join(map(str, res.witness.indices))
-            run = RunReport("subset-sum", digest, "found",
-                            {"decision": True, "witness": list(res.witness.indices)},
-                            None, round(ms, 3))
-            return _emit(run, [f"PARTITION TRUE left={idxs}"], args.json)
-        run = RunReport("subset-sum", digest, "not-found",
-                        {"decision": False, "witness": None}, None, round(ms, 3))
-        return _emit(run, ["PARTITION FALSE"], args.json)
-
-    if args.k is None:
-        raise ValueError("subset-sum needs a target k (or --partition)")
-    if args.k > sum(values):
-        decision, witness, method = False, None, "trivial"
+        decision, witness = ((None, None) if res is NOT_APPLICABLE
+                             else (res.value, res.witness))
     else:
-        decision, witness, method = _solve_subset_sum(
-            values, args.k, args.fallback_oracle
-        )
-    ms = (time.perf_counter() - t0) * 1000
+        if args.k is None:
+            raise ValueError("subset-sum needs a target k (or --partition)")
+        if args.k > sum(values):
+            decision, witness, method = False, None, "trivial"
+        else:
+            decision, witness, method = _solve_subset_sum(
+                values, args.k, args.fallback_oracle
+            )
+        target, word, listed, extra = args.k, "SUBSETSUM", "indices", {"method": method}
 
     if decision is None:
-        run = RunReport("subset-sum", digest, "not-applicable",
-                        None, None, round(ms, 3))
-        return _emit(run, ["NOTAPPLICABLE"], args.json)
-    if decision:
-        assert witness is not None and verify_witness(values, witness, args.k)
-        idxs = ",".join(map(str, witness.indices))
-        run = RunReport("subset-sum", digest, "found",
-                        {"decision": True, "witness": list(witness.indices),
-                         "method": method}, None, round(ms, 3))
-        return _emit(run, [f"SUBSETSUM TRUE indices={idxs}"], args.json)
-    run = RunReport("subset-sum", digest, "not-found",
-                    {"decision": False, "witness": None, "method": method},
-                    None, round(ms, 3))
-    return _emit(run, ["SUBSETSUM FALSE"], args.json)
+        return digest, "not-applicable", None, None, "NOTAPPLICABLE"
+    if not decision:
+        return (digest, "not-found", {"decision": False, "witness": None, **extra},
+                None, f"{word} FALSE")
+    if witness is None or not verify_witness(values, witness, target):
+        raise AssertionError(f"solver returned an invalid witness: {witness}")
+    payload = {"decision": True, "witness": list(witness.indices), **extra}
+    line = f"{word} TRUE {listed}={','.join(map(str, witness.indices))}"
+    return digest, "found", payload, None, line
 
 
 # ---------------------------------------------------------------------------
@@ -436,31 +394,24 @@ def _oracle_cycle_lengths(graph) -> list[int]:
     return sorted(lengths)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     text = _read(args.file)
-    head = _kind(text)
-    t0 = time.perf_counter()
-    if head == "tree":
-        tree = parse_tree(text)
-        found = sorted(achievable_subtree_weights(tree))
+    digest = _digest(text)
+    if _kind(text) == "tree":
+        found = sorted(achievable_subtree_weights(parse_tree(text)))
         kind, label = "weights", "WEIGHTS"
     else:
         graph, _ = parse_graph(text)
         found = _oracle_cycle_lengths(graph)
         kind, label = "lengths", "LENGTHS"
-    ms = (time.perf_counter() - t0) * 1000
 
-    if args.k is not None:
-        hit = args.k in found
-        run = RunReport("oracle", _digest(text),
-                        "found" if hit else "not-found",
-                        {kind: found, "k": args.k}, None, round(ms, 3))
-        word = "present" if hit else "absent"
-        return _emit(run, [f"{label} k={args.k} {word}"], args.json)
-
-    run = RunReport("oracle", _digest(text), "found",
-                    {kind: found}, None, round(ms, 3))
-    return _emit(run, [f"{label} {','.join(map(str, found))}"], args.json)
+    if args.k is None:
+        return (digest, "found", {kind: found}, None,
+                f"{label} {','.join(map(str, found))}")
+    hit = args.k in found
+    return (digest, "found" if hit else "not-found",
+            {kind: found, "k": args.k}, None,
+            f"{label} k={args.k} {'present' if hit else 'absent'}")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the outcome against the exact weight set")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_find_subtree)
+    p.set_defaults(fn=_report, run=_cmd_find_subtree)
 
     p = sub.add_parser("find-cycle",
                        help="cycle of length in [k-g+1, k] in a plane hamiltonian graph")
@@ -497,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half3conn", action="store_true",
                    help="cycle of length n/2-1 or n/2-2 (3-connected, min degree 4)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_find_cycle)
+    p.set_defaults(fn=_report, run=_cmd_find_cycle)
 
     p = sub.add_parser("subset-sum",
                        help="dense subset-sum / partition decision with witness")
@@ -511,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback-oracle", action="store_true",
                    help="run the exact DP when the dense thresholds do not apply")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_subset_sum)
+    p.set_defaults(fn=_report, run=_cmd_subset_sum)
 
     p = sub.add_parser("gen", help="write a generated instance to stdout")
     p.add_argument("family", help="tight-star, tight-path-lower, tight-path-upper, "
@@ -533,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="tree or graph file")
     p.add_argument("--k", type=int, help="report presence of this weight/length")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_oracle)
+    p.set_defaults(fn=_report, run=_cmd_oracle)
     return top
 
 

@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DegenerateTreeError, WeightExceedsTargetError
-from .tree import WeightedTree, check_conditions
+from .tree import WeightedTree, _marked_connected, check_conditions
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,10 @@ def find_subtree(
     otherwise): a too-heavy vertex can never leave a window in range.
 
     start is the stop index to open the window at; cycle lets callers reuse
-    a prebuilt walk for repeated searches on one tree.  on_move, if given,
-    is called as on_move(kind, s, t, weight) after every pointer move, with
-    kind "grow" or "shrink" and s, t the current inclusive window.
+    a prebuilt walk for repeated searches on one tree (ValueError if its
+    length does not fit the tree).  on_move, if given, is called as
+    on_move(kind, s, t, weight) after every pointer move, with kind "grow"
+    or "shrink" and s, t the current inclusive window.
     """
     if k < 1:
         raise ValueError(f"target k must be >= 1, got {k}")
@@ -147,6 +148,11 @@ def find_subtree(
     if cycle is None:
         cycle = build_euler_cycle(tree)
     length = len(cycle)
+    if length != 2 * (tree.n_vertices - 1):
+        raise ValueError(
+            f"walk has {length} stops but a tree on {tree.n_vertices} vertices "
+            f"has {2 * (tree.n_vertices - 1)}; it was built for another tree"
+        )
     if not 0 <= start < length:
         raise ValueError(f"start stop {start} out of range 0..{length - 1}")
 
@@ -231,13 +237,7 @@ def verify_subtree(
         return False
     if not k - g + 1 <= result.weight <= k:
         return False
-    root = next(iter(vertices))
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in tree.adjacency[v]:
-            if u in vertices and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == vertices
+    mask = bytearray(tree.n_vertices)
+    for v in vertices:
+        mask[v] = 1
+    return _marked_connected(tree.adjacency, mask)

@@ -24,7 +24,13 @@ from .errors import (
     WeightExceedsTargetError,
 )
 from .euler import find_subtree
-from .tree import WeightedTree
+from .tree import (
+    WeightedTree,
+    _check_rotation_system,
+    _marked_connected,
+    _read_header,
+    _read_vertex_line,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,30 +80,10 @@ class PlaneGraph:
         n = len(self.adjacency)
         if n < 3:
             raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
-        edge_count = Counter()
-        for v, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs):
-                raise EmbeddingError(f"vertex {v}: duplicate neighbor")
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise EmbeddingError(f"vertex {v}: neighbor {u} out of range")
-                if u == v:
-                    raise EmbeddingError(f"vertex {v}: self loop")
-                edge_count[(u, v) if u < v else (v, u)] += 1
-        for e, cnt in edge_count.items():
-            if cnt != 2:
-                raise EmbeddingError(f"edge {e} is not listed by both endpoints")
-        reached = {0}
-        stack = [0]
-        while stack:
-            for u in self.adjacency[stack.pop()]:
-                if u not in reached:
-                    reached.add(u)
-                    stack.append(u)
-        if len(reached) != n:
+        m = _check_rotation_system(self.adjacency, EmbeddingError)
+        if not _marked_connected(self.adjacency, bytearray(b"\x01") * n):
             raise EmbeddingError("graph is disconnected")
 
-        m = len(edge_count)
         faces, _ = _trace(self.adjacency)
         if n - m + len(faces) != 2:
             raise EmbeddingError(
@@ -120,11 +106,6 @@ class PlaneGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-
-def trace_faces(graph: PlaneGraph) -> tuple[tuple[int, ...], ...]:
-    """All faces of the embedding as closed vertex walks."""
-    return graph.faces
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +338,10 @@ def subtree_to_cycle(dual: DualTree, vertices) -> CycleResult:
         raise ValueError("need at least one dual vertex")
     if any(not 0 <= v < dual.tree.n_vertices for v in chosen):
         raise ValueError("dual vertex id out of range")
-    chosen_set = set(chosen)
-    reached = {chosen[0]}
-    stack = [chosen[0]]
-    while stack:
-        for u in dual.tree.adjacency[stack.pop()]:
-            if u in chosen_set and u not in reached:
-                reached.add(u)
-                stack.append(u)
-    if reached != chosen_set:
+    mask = bytearray(dual.tree.n_vertices)
+    for v in chosen:
+        mask[v] = 1
+    if not _marked_connected(dual.tree.adjacency, mask):
         raise ValueError("dual vertices do not induce a connected subtree")
 
     edge_use = Counter()
@@ -472,30 +448,23 @@ def find_cycle_near(
 # ---------------------------------------------------------------------------
 
 
-def _connected_after_removal(graph: PlaneGraph, removed: set[int]) -> bool:
-    n = graph.n_vertices
-    start = next(v for v in range(n) if v not in removed)
-    reached = {start}
-    stack = [start]
-    while stack:
-        for u in graph.adjacency[stack.pop()]:
-            if u not in removed and u not in reached:
-                reached.add(u)
-                stack.append(u)
-    return len(reached) == n - len(removed)
-
-
 def is_three_connected(graph: PlaneGraph) -> bool:
     """Brute-force check: no vertex set of size <= 2 disconnects the graph."""
     n = graph.n_vertices
     if n < 4:
         return False
+    adjacency = graph.adjacency
+    full = b"\x01" * n
     for a in range(n):
-        if not _connected_after_removal(graph, {a}):
+        mask = bytearray(full)
+        mask[a] = 0
+        if not _marked_connected(adjacency, mask):
             return False
     for a in range(n):
         for b in range(a + 1, n):
-            if not _connected_after_removal(graph, {a, b}):
+            mask = bytearray(full)
+            mask[a] = mask[b] = 0
+            if not _marked_connected(adjacency, mask):
                 return False
     return True
 
@@ -543,7 +512,7 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     cap = n // 2 - 3  # face length < n/2 means dual weight <= n/2 - 3
 
     interior = build_dual_tree(graph, ham, "interior")
-    interior_edges = n + len(split_by_hamilton(graph, ham).interior)
+    interior_edges = n + len(interior.chord_of)  # one dual edge per chord
 
     if interior_edges > 3 * n // 2:
         found = find_subtree(interior.tree, target, 1)
@@ -594,22 +563,7 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
 
 def parse_graph(text: str) -> tuple[PlaneGraph, HamiltonCycle]:
     """Parse the plane-graph file format (rotation lists + hamilton line)."""
-    from .tree import _content_lines  # same comment/blank handling
-
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "graph":
-        raise FormatError(f"expected 'graph <n>' header, got {header!r}", lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FormatError(f"bad vertex count {parts[1]!r}", lineno) from None
-    if n < 3:
-        raise FormatError(f"vertex count must be >= 3, got {n}", lineno)
-
+    n, lines = _read_header(text, "graph", 3)
     adjacency: list[tuple[int, ...]] = [()] * n
     seen = [False] * n
     ham: HamiltonCycle | None = None
@@ -622,23 +576,10 @@ def parse_graph(text: str) -> tuple[PlaneGraph, HamiltonCycle]:
             except ValueError:
                 raise FormatError("non-integer token in hamilton line", lineno) from None
             continue
-        fields = line.split(":")
-        if len(fields) != 2:
-            raise FormatError("expected '<v>: <neighbors>'", lineno)
-        try:
-            v = int(fields[0])
-            nbrs = tuple(int(tok) for tok in fields[1].split())
-        except ValueError:
-            raise FormatError(f"non-integer token in {line!r}", lineno) from None
-        if not 0 <= v < n:
-            raise FormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
-        if seen[v]:
-            raise FormatError(f"vertex {v} defined twice", lineno)
-        seen[v] = True
+        v, nbrs = _read_vertex_line(lineno, line, n, seen, "<v>: <neighbors>")
         adjacency[v] = nbrs
     if not all(seen):
-        missing = seen.index(False)
-        raise FormatError(f"no line for vertex {missing}")
+        raise FormatError(f"no line for vertex {seen.index(False)}")
     if ham is None:
         raise FormatError("missing 'hamilton:' line")
     graph = PlaneGraph(tuple(adjacency))

@@ -59,7 +59,7 @@ def _check_values(values) -> tuple[int, ...]:
     if not vals:
         raise ValueError("multiset must be non-empty")
     for i, a in enumerate(vals):
-        if not isinstance(a, int) or a < 1:
+        if type(a) is not int or a < 1:
             raise ValueError(f"element {i}: {a!r} is not an integer >= 1")
     return vals
 

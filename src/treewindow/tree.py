@@ -52,32 +52,17 @@ class WeightedTree:
                 f"{n} weights but {len(self.adjacency)} adjacency rows"
             )
         for v, w in enumerate(self.weights):
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise WeightError(f"vertex {v}: weight {w!r} is not an integer >= 1")
         total = sum(self.weights)
         if total >= MAX_TOTAL_WEIGHT:
             raise WeightError(f"total weight {total} exceeds 2**62")
         object.__setattr__(self, "total_weight", total)
 
-        edge_count = Counter()
-        for v, nbrs in enumerate(self.adjacency):
-            seen = set(nbrs)
-            if len(seen) != len(nbrs):
-                raise NotATreeError(f"vertex {v}: duplicate neighbor")
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise NotATreeError(f"vertex {v}: neighbor {u} out of range")
-                if u == v:
-                    raise NotATreeError(f"vertex {v}: self loop")
-                edge_count[(u, v) if u < v else (v, u)] += 1
-        for e, cnt in edge_count.items():
-            if cnt != 2:
-                raise NotATreeError(f"edge {e} is not listed by both endpoints")
-        if len(edge_count) != n - 1:
-            raise NotATreeError(
-                f"{len(edge_count)} edges for {n} vertices; a tree has {n - 1}"
-            )
-        if n > 1 and not _connected(self.adjacency):
+        m = _check_rotation_system(self.adjacency, NotATreeError)
+        if m != n - 1:
+            raise NotATreeError(f"{m} edges for {n} vertices; a tree has {n - 1}")
+        if not _marked_connected(self.adjacency, bytearray(b"\x01") * n):
             raise NotATreeError("adjacency is disconnected")
 
     @property
@@ -88,19 +73,43 @@ class WeightedTree:
         return len(self.adjacency[v])
 
 
-def _connected(adjacency) -> bool:
-    seen = bytearray(len(adjacency))
-    seen[0] = 1
-    stack = [0]
-    count = 1
+def _check_rotation_system(adjacency, error_cls) -> int:
+    """Check that ordered neighbor lists describe a simple undirected graph:
+    ids in range, no duplicate neighbors or self loops, and every edge
+    listed by both endpoints.  Returns the edge count; raises error_cls."""
+    n = len(adjacency)
+    edge_count = Counter()
+    for v, nbrs in enumerate(adjacency):
+        if len(set(nbrs)) != len(nbrs):
+            raise error_cls(f"vertex {v}: duplicate neighbor")
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise error_cls(f"vertex {v}: neighbor {u} out of range")
+            if u == v:
+                raise error_cls(f"vertex {v}: self loop")
+            edge_count[(u, v) if u < v else (v, u)] += 1
+    for e, cnt in edge_count.items():
+        if cnt != 2:
+            raise error_cls(f"edge {e} is not listed by both endpoints")
+    return len(edge_count)
+
+
+def _marked_connected(adjacency, mask: bytearray) -> bool:
+    """Whether the vertices v with mask[v] set induce a connected subgraph
+    of adjacency (true when none are marked).  Walks from the first marked
+    vertex and clears every mark it reaches, so the answer is whether any
+    mark is left; the caller's mask is consumed."""
+    start = mask.find(1)
+    if start < 0:
+        return True
+    mask[start] = 0
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
+        for u in adjacency[stack.pop()]:
+            if mask[u]:
+                mask[u] = 0
                 stack.append(u)
-    return count == len(adjacency)
+    return 1 not in mask
 
 
 def path_tree(weights) -> WeightedTree:
@@ -138,44 +147,64 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_tree(text: str) -> WeightedTree:
-    """Parse the tree file format; raises FormatError with a line number."""
+def _read_header(text: str, keyword: str, min_n: int):
+    """Content lines of an instance file and the n of its '<keyword> <n>'
+    header line, which must be the first content line."""
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty input")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "tree":
-        raise FormatError(f"expected 'tree <n>' header, got {header!r}", lineno)
+    if len(parts) != 2 or parts[0] != keyword:
+        raise FormatError(f"expected '{keyword} <n>' header, got {header!r}", lineno)
     try:
         n = int(parts[1])
     except ValueError:
         raise FormatError(f"bad vertex count {parts[1]!r}", lineno) from None
-    if n < 1:
-        raise FormatError(f"vertex count must be >= 1, got {n}", lineno)
+    if n < min_n:
+        raise FormatError(f"vertex count must be >= {min_n}, got {n}", lineno)
+    return n, lines
+
+
+def _read_vertex_line(
+    lineno: int, line: str, n: int, seen: list[bool], usage: str
+) -> list:
+    """Split a vertex line shaped like usage ('<v>: ...: <neighbors>') into
+    its integer fields and the neighbor tuple, and mark v in seen."""
+    row = line.split(":")
+    if len(row) != usage.count(":") + 1:
+        raise FormatError(f"expected {usage!r}", lineno)
+    try:
+        nbrs = tuple(map(int, row.pop().split()))
+        row = list(map(int, row))
+    except ValueError:
+        raise FormatError(f"non-integer token in {line!r}", lineno) from None
+    v = row[0]
+    if not 0 <= v < n:
+        raise FormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
+    if seen[v]:
+        raise FormatError(f"vertex {v} defined twice", lineno)
+    seen[v] = True
+    row.append(nbrs)
+    return row
+
+
+def parse_tree(text: str) -> WeightedTree:
+    """Parse the tree file format; raises FormatError with a line number."""
+    n, lines = _read_header(text, "tree", 1)
     if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} vertex lines, found {len(lines) - 1}", lineno)
+        raise FormatError(
+            f"expected {n} vertex lines, found {len(lines) - 1}", lines[0][0]
+        )
 
     weights: list[int] = [0] * n
     adjacency: list[tuple[int, ...]] = [()] * n
     seen = [False] * n
+    usage = "<v>: <weight>: <neighbors>"
     for lineno, line in lines[1:]:
-        fields = line.split(":")
-        if len(fields) != 3:
-            raise FormatError("expected '<v>: <weight>: <neighbors>'", lineno)
-        try:
-            v = int(fields[0])
-            w = int(fields[1])
-            nbrs = tuple(int(tok) for tok in fields[2].split())
-        except ValueError:
-            raise FormatError(f"non-integer token in {line!r}", lineno) from None
-        if not 0 <= v < n:
-            raise FormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
-        if seen[v]:
-            raise FormatError(f"vertex {v} defined twice", lineno)
+        v, w, nbrs = _read_vertex_line(lineno, line, n, seen, usage)
         if w < 1:
             raise FormatError(f"vertex {v}: weight must be >= 1, got {w}", lineno)
-        seen[v] = True
         weights[v] = w
         adjacency[v] = nbrs
     try:
@@ -198,30 +227,19 @@ def serialize_tree(tree: WeightedTree) -> str:
 
 
 @dataclass(frozen=True)
-class SearchParams:
-    """Target weight k, slack g, and the derived totals they are checked against."""
-
-    k: int
-    g: int
-    n2: int  # total vertex weight
-    h: int  # 2 * n_vertices - n2 (can be negative)
-
-    @classmethod
-    def for_tree(cls, tree: WeightedTree, k: int, g: int) -> "SearchParams":
-        n2 = tree.total_weight
-        return cls(k=k, g=g, n2=n2, h=2 * tree.n_vertices - n2)
-
-
-@dataclass(frozen=True)
 class ConditionReport:
-    """Which sufficient conditions for guaranteed search success hold.
+    """Target weight k, slack g, the totals they are checked against, and
+    which sufficient conditions for guaranteed search success hold.
 
     The search finds a subtree with weight in [k-g+1, k] whenever all five
     flags are true.  Each flag false leaves the guarantee void, but the
     search is still run and may succeed anyway.
     """
 
-    params: SearchParams
+    k: int
+    g: int
+    n2: int  # total vertex weight
+    h: int  # 2 * n_vertices - n2 (can be negative)
     range_ok: bool  # 1 <= k <= n2
     slack_ok: bool  # g + h > 2
     lower_ok: bool  # 2k - 4g - h + 3 <= n2
@@ -252,13 +270,14 @@ def check_conditions(tree: WeightedTree, k: int, g: int) -> ConditionReport:
     """Evaluate the five sufficient conditions for the window search."""
     if g < 1:
         raise ValueError(f"slack g must be >= 1, got {g}")
-    p = SearchParams.for_tree(tree, k, g)
+    n2 = tree.total_weight
+    h = 2 * tree.n_vertices - n2
     return ConditionReport(
-        params=p,
-        range_ok=1 <= k <= p.n2,
-        slack_ok=g + p.h > 2,
-        lower_ok=2 * k - 4 * g - p.h + 3 <= p.n2,
-        upper_ok=p.n2 <= 2 * k + g + p.h - 2,
+        k=k, g=g, n2=n2, h=h,
+        range_ok=1 <= k <= n2,
+        slack_ok=g + h > 2,
+        lower_ok=2 * k - 4 * g - h + 3 <= n2,
+        upper_ok=n2 <= 2 * k + g + h - 2,
         cap_ok=max(tree.weights) <= k,
     )
 

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treewindow
 from treewindow.cli import main
 
 
@@ -156,6 +161,33 @@ def test_golden_report(capsys, path_file, star_file, sq12_file, ring_file,
         assert re.fullmatch(r'.*"wall_time_ms": \d+\.\d+}\n', out)
         out = re.sub(r'"wall_time_ms": [\d.]+', '"wall_time_ms": 0', out)
     assert out == (report if as_json else line) + "\n"
+
+
+_BROKEN_CHECK = """
+import sys
+import treewindow.cli as cli
+setattr(cli, sys.argv[1], lambda *args: False)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("verifier, argv", [
+    ("verify_subtree", ["find-subtree", "{path}", "6", "2"]),
+    ("verify_cycle", ["find-cycle", "{sq12}", "7", "1"]),
+    ("verify_witness", ["subset-sum", "1,2,1,2,1", "4"]),
+])
+def test_result_check_survives_optimize(path_file, sq12_file, verifier, argv):
+    """Under python -O a result that fails its verifier still exits 1."""
+    src = str(Path(treewindow.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [arg.format(path=path_file, sq12=sq12_file) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_CHECK, verifier, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("internal error:")
 
 
 class TestFindSubtree:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from treewindow import (
     DegenerateTreeError,
+    SubtreeResult,
     WeightExceedsTargetError,
     WeightedTree,
     achievable_subtree_weights,
@@ -120,6 +121,14 @@ class TestFindSubtree:
         b = find_subtree(t, 4, 1, cycle=cycle)
         assert a == b
 
+    def test_walk_of_another_tree_refused(self):
+        # Every condition flag holds here, so pairing the tree with the
+        # shorter walk of another tree must not end in a silent None.
+        tree = path_tree((1,) * 4)
+        assert check_conditions(tree, 3, 1).overall
+        with pytest.raises(ValueError, match="another tree"):
+            find_subtree(tree, 3, 1, cycle=build_euler_cycle(path_tree((1, 1))))
+
     def test_tight_star_misses_window(self):
         inst = tight_instance("star_gh", 2)
         assert find_subtree(inst.tree, inst.k, inst.g) is None
@@ -137,6 +146,23 @@ class TestFindSubtree:
         inst = tight_instance("star_cap", 3, 3)
         with pytest.raises(WeightExceedsTargetError):
             find_subtree(inst.tree, inst.k, inst.g)
+
+
+class TestVerifySubtree:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_connectivity_matches_reference(self, data):
+        tree = data.draw(weighted_trees())
+        chosen = data.draw(st.sets(st.integers(0, tree.n_vertices - 1), min_size=1))
+        weight = sum(tree.weights[v] for v in chosen)
+        result = SubtreeResult(frozenset(chosen), weight, (0, 0), 0)
+        assert verify_subtree(tree, result, weight, 1) == is_connected_in(tree, chosen)
+
+    def test_rejects_wrong_weight_and_range(self):
+        tree = path_tree((1, 2, 1))
+        assert not verify_subtree(tree, SubtreeResult(frozenset({0, 1}), 4, (0, 0), 0), 4, 1)
+        assert not verify_subtree(tree, SubtreeResult(frozenset({0, 1}), 3, (0, 0), 0), 5, 1)
+        assert not verify_subtree(tree, SubtreeResult(frozenset({3}), 1, (0, 0), 0), 1, 1)
 
 
 class TestSearchProperties:

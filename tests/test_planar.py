@@ -21,7 +21,6 @@ from treewindow import (
     serialize_graph,
     split_by_hamilton,
     subtree_to_cycle,
-    trace_faces,
     verify_cycle,
 )
 from treewindow.generators import (
@@ -54,7 +53,7 @@ class TestPlaneGraph:
     def test_octahedron_faces(self):
         graph, _ = malkevitch(1)
         assert graph.n_vertices == 6 and graph.n_edges == 12
-        faces = trace_faces(graph)
+        faces = graph.faces
         assert len(faces) == 8
         assert all(len(walk) == 3 for walk in faces)
 

@@ -43,6 +43,10 @@ class TestDense:
         with pytest.raises(ValueError):
             subset_sum_dense((1, 1), 0)
 
+    def test_bool_values_rejected(self):
+        with pytest.raises(ValueError):
+            subset_sum_dense((True, 1, 1), 2)
+
 
 class TestPartition:
     def test_split_found(self):

@@ -48,12 +48,16 @@ class TestValidation:
         with pytest.raises(WeightError):
             WeightedTree((1.5, 1), ((1,), (0,)))
 
+    def test_bool_weight_rejected(self):
+        with pytest.raises(WeightError):
+            WeightedTree((True, True), ((1,), (0,)))
+
     def test_self_loop(self):
         with pytest.raises(NotATreeError):
             WeightedTree((1, 1), ((1, 0), (0,)))
 
     def test_asymmetric_adjacency(self):
-        with pytest.raises(NotATreeError):
+        with pytest.raises(NotATreeError, match=r"edge \(0, 2\) is not listed"):
             WeightedTree((1, 1, 1), ((1, 2), (0,), ()))
 
     def test_cycle_rejected(self):
@@ -136,8 +140,9 @@ class TestConditions:
     def test_params(self):
         t = path_tree((1, 2, 1, 2, 1, 2, 1))
         report = check_conditions(t, 5, 1)
-        assert report.params.n2 == t.total_weight == 10
-        assert report.params.h == 2 * 7 - 10
+        assert (report.k, report.g) == (5, 1)
+        assert report.n2 == t.total_weight == 10
+        assert report.h == 2 * 7 - 10
 
     def test_g_below_one(self):
         with pytest.raises(ValueError):
