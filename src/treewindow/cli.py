@@ -45,7 +45,7 @@ from .tree import (
     tight_instance,
 )
 
-_EXIT = {"found": 0, "not-found": 2, "not-applicable": 2, "error": 1}
+_EXIT = {"found": 0, "not-found": 2, "not-applicable": 2}
 
 
 def _digest(text: str) -> str:
