@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 
 from . import generators
-from .errors import InstanceTooLargeError, TreeWindowError
+from .errors import InstanceTooLargeError, InvariantError, TreeWindowError
 from .euler import find_subtree, verify_subtree
 from .planar import (
     CycleResult,
@@ -37,7 +38,6 @@ from .subsetsum import (
 )
 from .tree import (
     WeightedTree,
-    _content_lines,
     achievable_subtree_weights,
     check_conditions,
     parse_tree,
@@ -89,8 +89,7 @@ def _ids(csv: str) -> list[int]:
 
 def _kind(text: str) -> str:
     """First meaningful token of an instance file: 'tree' or 'graph'."""
-    first = next(_content_lines(text), None)
-    return first[1].split()[0] if first else ""
+    return re.match(r"(?:\s|#[^\n\r]*)*([^\s#]*)", text).group(1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +101,7 @@ def _cmd_find_subtree(args):
     text = _read(args.file)
     digest = _digest(text)
     tree = parse_tree(text)
+    del text
 
     if args.check_only:
         report = check_conditions(tree, args.k, args.g)
@@ -121,19 +121,19 @@ def _cmd_find_subtree(args):
         achievable = achievable_subtree_weights(tree)
         window = set(range(max(1, args.k - args.g + 1), args.k + 1))
         if result is None and window & achievable:
-            raise AssertionError(
+            raise InvariantError(
                 f"oracle found achievable weights {sorted(window & achievable)} "
                 "in the window but the search returned nothing"
             )
         if result is not None and result.weight not in achievable:
-            raise AssertionError(
+            raise InvariantError(
                 f"search weight {result.weight} is not oracle-achievable"
             )
 
     if result is None:
         return digest, "not-found", None, None, "NOTFOUND"
     if not verify_subtree(tree, result, args.k, args.g):
-        raise AssertionError(f"search returned an invalid subtree: {result}")
+        raise InvariantError(f"search returned an invalid subtree: {result}")
     verts = sorted(result.vertices)
     payload = {"weight": result.weight, "vertices": verts,
                "window": list(result.window)}
@@ -161,7 +161,7 @@ def _cmd_find_cycle(args):
     if cycle is None:
         return digest, "not-found", None, None, "NOTFOUND"
     if not verify_cycle(graph, cycle):
-        raise AssertionError(f"search returned an invalid cycle: {cycle}")
+        raise InvariantError(f"search returned an invalid cycle: {cycle}")
     payload = {"length": cycle.length, "vertices": list(cycle.vertices)}
     line = (f"CYCLE length={cycle.length} "
             f"vertices={','.join(map(str, cycle.vertices))}")
@@ -246,7 +246,7 @@ def _cmd_subset_sum(args):
         return (digest, "not-found", {"decision": False, "witness": None, **extra},
                 None, f"{word} FALSE")
     if witness is None or not verify_witness(values, witness, target):
-        raise AssertionError(f"solver returned an invalid witness: {witness}")
+        raise InvariantError(f"solver returned an invalid witness: {witness}")
     payload = {"decision": True, "witness": list(witness.indices), **extra}
     line = f"{word} TRUE {listed}={','.join(map(str, witness.indices))}"
     return digest, "found", payload, None, line
@@ -318,11 +318,11 @@ def _cmd_gen(args) -> int:
 
 def _dot_tree(tree: WeightedTree, highlight: set[int]) -> str:
     out = ["graph tree {", "  node [shape=circle];"]
-    for v in range(tree.n_vertices):
+    for v, w in enumerate(tree.weights.tolist()):
         style = " style=filled fillcolor=gold" if v in highlight else ""
-        out.append(f'  {v} [label="{v}\\nw={tree.weights[v]}"{style}];')
-    for v in range(tree.n_vertices):
-        for u in tree.adjacency[v]:
+        out.append(f'  {v} [label="{v}\\nw={w}"{style}];')
+    for v, nbrs in enumerate(tree.adjacency):
+        for u in nbrs:
             if v < u:
                 out.append(f"  {v} -- {u};")
     out.append("}")
@@ -492,11 +492,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except AssertionError as exc:  # InvariantError included
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except (TreeWindowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

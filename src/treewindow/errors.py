@@ -56,3 +56,9 @@ class PreconditionError(TreeWindowError):
 
 class StructureError(TreeWindowError):
     """Reached a state the underlying theory rules out; indicates bad input or a bug."""
+
+
+class InvariantError(TreeWindowError, AssertionError):
+    """A proven guarantee failed to hold, which can only be a bug.  Raised
+    explicitly, so the check survives python -O; an AssertionError too, so
+    callers that catch failed assertions still catch it."""

@@ -19,79 +19,42 @@ the whole search linear in the tree size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateTreeError, WeightExceedsTargetError
-from .tree import WeightedTree, _marked_connected, check_conditions
+from .errors import DegenerateTreeError, InvariantError, WeightExceedsTargetError
+from .tree import WeightedTree, _spans_subtree, check_conditions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerCycle:
-    """The closed walk, stops in traversal order.
+    """The closed walk of one tree, stops in traversal order.
 
     vertices[i] is the tree vertex stop i leaves from; rotation[i] is the
-    index (into that vertex's neighbor tuple) of the edge taken.  The
-    successor of stop i is stop (i + 1) % len, the predecessor (i - 1) % len.
+    index (into that vertex's neighbor list) of the edge taken; both are
+    read-only int64 arrays.  The successor of stop i is stop (i + 1) % len,
+    the predecessor (i - 1) % len.  tree is the tree walked; find_subtree
+    refuses to pair the walk with any other tree.
     """
 
-    vertices: tuple[int, ...]
-    rotation: tuple[int, ...]
+    vertices: np.ndarray
+    rotation: np.ndarray
+    tree: WeightedTree
 
     def __len__(self) -> int:
         return len(self.vertices)
 
 
 def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
-    """Construct the closed walk of a tree in O(n) (array passes + one sort).
+    """The closed walk of a tree.  The tree walked it when it was built,
+    in O(n): array passes, one sort, and one Python pass along the walk.
 
     Raises DegenerateTreeError for a single-vertex tree, which has no walk;
     callers treat that case directly.
     """
-    n = tree.n_vertices
-    if n == 1:
+    if tree.n_vertices == 1:
         raise DegenerateTreeError("single-vertex tree has no closed walk")
-    adjacency = tree.adjacency
-    degrees = np.fromiter((len(a) for a in adjacency), dtype=np.int64, count=n)
-    length = int(degrees.sum())  # == 2 * (n - 1)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(degrees[:-1], out=offsets[1:])
-
-    # Darts (directed edges) are numbered off[v], off[v]+1, ... in rotation
-    # order; tails[d] is the vertex dart d leaves.
-    tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    heads = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=length)
-
-    # Pair each dart with its reverse: both darts of an edge share the key
-    # (min * n + max), so after a stable sort they sit next to each other.
-    keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
-    order = np.argsort(keys, kind="stable")
-    reverse = np.empty(length, dtype=np.int64)
-    reverse[order[0::2]] = order[1::2]
-    reverse[order[1::2]] = order[0::2]
-
-    # Successor of dart d: the dart after reverse[d] in its vertex's block.
-    successor = reverse + 1
-    block_end = offsets[heads] + degrees[heads]
-    wrap = successor == block_end
-    successor[wrap] = offsets[heads[wrap]]
-
-    succ = successor.tolist()
-    tour = [0] * length
-    d = 0
-    for i in range(length):
-        tour[i] = d
-        d = succ[d]
-    assert d == 0, "walk did not close after visiting every dart"
-
-    tour_arr = np.asarray(tour, dtype=np.int64)
-    stop_vertices = tails[tour_arr]
-    stop_rotation = tour_arr - offsets[stop_vertices]
-    return EulerCycle(
-        vertices=tuple(stop_vertices.tolist()),
-        rotation=tuple(stop_rotation.tolist()),
-    )
+    return EulerCycle(tree._stops, tree._turns, tree)
 
 
 @dataclass(frozen=True)
@@ -123,8 +86,8 @@ def find_subtree(
     otherwise): a too-heavy vertex can never leave a window in range.
 
     start is the stop index to open the window at; cycle lets callers reuse
-    a prebuilt walk for repeated searches on one tree (ValueError if its
-    length does not fit the tree).  on_move, if given, is called as
+    the walk of this tree for repeated searches (ValueError for the walk
+    of another tree).  on_move, if given, is called as
     on_move(kind, s, t, weight) after every pointer move, with kind "grow"
     or "shrink" and s, t the current inclusive window.
     """
@@ -132,32 +95,29 @@ def find_subtree(
         raise ValueError(f"target k must be >= 1, got {k}")
     if g < 1:
         raise ValueError(f"slack g must be >= 1, got {g}")
-    heaviest = max(tree.weights)
-    if heaviest > k:
+    if tree.max_weight > k:
         raise WeightExceedsTargetError(
-            f"vertex weight {heaviest} exceeds target {k}"
+            f"vertex weight {tree.max_weight} exceeds target {k}"
         )
 
     low = k - g + 1
     if tree.n_vertices == 1:
-        w = tree.weights[0]
+        w = tree.total_weight
         if low <= w <= k:
             return SubtreeResult(frozenset((0,)), w, (0, 0), 0)
         return None
 
     if cycle is None:
         cycle = build_euler_cycle(tree)
+    elif cycle.tree is not tree:
+        raise ValueError("the walk was built for another tree")
     length = len(cycle)
-    if length != 2 * (tree.n_vertices - 1):
-        raise ValueError(
-            f"walk has {length} stops but a tree on {tree.n_vertices} vertices "
-            f"has {2 * (tree.n_vertices - 1)}; it was built for another tree"
-        )
     if not 0 <= start < length:
         raise ValueError(f"start stop {start} out of range 0..{length - 1}")
 
-    rho = cycle.vertices
-    weights = tree.weights
+    # memoryviews read the arrays as Python ints, at about list speed.
+    rho = memoryview(cycle.vertices)
+    weights = memoryview(tree.weights)
     occ = [0] * tree.n_vertices
     budget = 3 * length
 
@@ -183,12 +143,7 @@ def find_subtree(
             if on_move is not None:
                 on_move("grow", s, t, weight)
         if weight <= k:
-            return SubtreeResult(
-                frozenset(i for i, o in enumerate(occ) if o),
-                weight,
-                (s, t),
-                steps,
-            )
+            return _window_result(cycle, s, t, weight, steps)
         while weight > k:
             if steps >= budget:
                 return _not_found(tree, k, g)
@@ -204,12 +159,15 @@ def find_subtree(
             if on_move is not None:
                 on_move("shrink", s, t, weight)
         if weight >= low:
-            return SubtreeResult(
-                frozenset(i for i, o in enumerate(occ) if o),
-                weight,
-                (s, t),
-                steps,
-            )
+            return _window_result(cycle, s, t, weight, steps)
+
+
+def _window_result(cycle: EulerCycle, s: int, t: int, weight: int,
+                   steps: int) -> SubtreeResult:
+    """The result for window [s, t]: the vertices at its stops."""
+    stops = cycle.vertices
+    inside = stops[s:t + 1] if s <= t else np.r_[stops[s:], stops[:t + 1]]
+    return SubtreeResult(frozenset(inside.tolist()), weight, (s, t), steps)
 
 
 def _not_found(tree: WeightedTree, k: int, g: int) -> None:
@@ -217,9 +175,10 @@ def _not_found(tree: WeightedTree, k: int, g: int) -> None:
     # conditions satisfied would contradict the guarantee, so it can only
     # mean a bug in the search itself.
     report = check_conditions(tree, k, g)
-    assert not report.overall, (
-        f"search budget exhausted although all conditions hold: {report}"
-    )
+    if report.overall:
+        raise InvariantError(
+            f"search budget exhausted although all conditions hold: {report}"
+        )
     return None
 
 
@@ -227,17 +186,14 @@ def verify_subtree(
     tree: WeightedTree, result: SubtreeResult, k: int, g: int
 ) -> bool:
     """Independently check a search result: weight range, weight sum, and
-    connectivity of the vertex set in the tree."""
-    vertices = result.vertices
-    if not vertices:
+    connectivity of the vertex set in the tree, counted as edges (without
+    the walk): k vertices of a tree are connected iff they span k - 1."""
+    vertices = np.fromiter(result.vertices, dtype=np.int64,
+                           count=len(result.vertices))
+    if not len(vertices) or not k - g + 1 <= result.weight <= k:
         return False
-    if any(not 0 <= v < tree.n_vertices for v in vertices):
+    if ((vertices < 0) | (vertices >= tree.n_vertices)).any():
         return False
-    if sum(tree.weights[v] for v in vertices) != result.weight:
+    if int(tree.weights[vertices].sum()) != result.weight:
         return False
-    if not k - g + 1 <= result.weight <= k:
-        return False
-    mask = bytearray(tree.n_vertices)
-    for v in vertices:
-        mask[v] = 1
-    return _marked_connected(tree.adjacency, mask)
+    return _spans_subtree(tree, vertices)

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .planar import HamiltonCycle, PlaneGraph
-from .tree import WeightedTree
+from .tree import WeightedTree, _csr_tree
 
 
 def random_tree(n: int, max_weight: int = 9, seed: int = 0) -> WeightedTree:
@@ -23,13 +25,19 @@ def random_tree(n: int, max_weight: int = 9, seed: int = 0) -> WeightedTree:
     if max_weight < 1:
         raise ValueError(f"need max_weight >= 1, got {max_weight}")
     rng = random.Random(seed)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        p = rng.randrange(v)
-        adjacency[p].append(v)
-        adjacency[v].append(p)
-    weights = tuple(rng.randint(1, max_weight) for _ in range(n))
-    return WeightedTree(weights, tuple(tuple(row) for row in adjacency))
+    parent = np.array([rng.randrange(v) for v in range(1, n)], dtype=np.int64)
+    weights = np.array([rng.randint(1, max_weight) for _ in range(n)], dtype=np.int64)
+    # Vertex v's rotation: its parent (v >= 1), then its children in
+    # ascending order; so the children, sorted by parent, fill every slot
+    # that is not a parent slot.
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent, minlength=n) + (np.arange(n) > 0), out=offsets[1:])
+    neighbors = np.empty(2 * n - 2, dtype=np.int64)
+    parent_slot = np.zeros(2 * n - 2, dtype=bool)
+    parent_slot[offsets[1:n]] = True
+    neighbors[parent_slot] = parent
+    neighbors[~parent_slot] = np.argsort(parent, kind="stable") + 1
+    return _csr_tree(weights, offsets, neighbors)
 
 
 # ---------------------------------------------------------------------------

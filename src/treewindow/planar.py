@@ -14,10 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import Counter
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     EmbeddingError,
     FormatError,
+    InvariantError,
     NotHamiltonianError,
     PreconditionError,
     StructureError,
@@ -26,10 +30,14 @@ from .errors import (
 from .euler import find_subtree
 from .tree import (
     WeightedTree,
-    _check_rotation_system,
+    _csr_offsets,
+    _csr_rows,
+    _csr_tree,
     _marked_connected,
+    _pair_darts,
     _read_header,
-    _read_vertex_line,
+    _read_rows,
+    _spans_subtree,
 )
 
 
@@ -80,7 +88,10 @@ class PlaneGraph:
         n = len(self.adjacency)
         if n < 3:
             raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
-        m = _check_rotation_system(self.adjacency, EmbeddingError)
+        offsets = _csr_offsets(self.adjacency)
+        neighbors = np.fromiter(chain.from_iterable(self.adjacency),
+                                dtype=np.int64, count=offsets[-1])
+        m = len(_pair_darts(offsets, neighbors, EmbeddingError)) // 2
         if not _marked_connected(self.adjacency, bytearray(b"\x01") * n):
             raise EmbeddingError("graph is disconnected")
 
@@ -284,7 +295,6 @@ def build_dual_tree(
     ids = [idx for idx in range(len(faces)) if idx != anti]
     renumber = {old: new for new, old in enumerate(ids)}
     side_faces = tuple(faces[old] for old in ids)
-    weights = tuple(len(walk) - 2 for walk in side_faces)
 
     adjacency: list[list[int]] = [[] for _ in ids]
     chord_of: dict[tuple[int, int], tuple[int, int]] = {}
@@ -298,8 +308,14 @@ def build_dual_tree(
                 adjacency[fid].append(renumber[other])
                 chord_of[_norm(fid, renumber[other])] = _norm(a, b)
 
+    offsets = _csr_offsets(adjacency)
     try:
-        tree = WeightedTree(weights, tuple(tuple(row) for row in adjacency))
+        tree = _csr_tree(
+            np.array([len(walk) - 2 for walk in side_faces], dtype=np.int64),
+            offsets,
+            np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                        count=offsets[-1]),
+        )
     except Exception as exc:
         raise StructureError(f"face adjacency of the {side} region is not a tree: {exc}")
     if tree.total_weight != n - 2:
@@ -338,10 +354,7 @@ def subtree_to_cycle(dual: DualTree, vertices) -> CycleResult:
         raise ValueError("need at least one dual vertex")
     if any(not 0 <= v < dual.tree.n_vertices for v in chosen):
         raise ValueError("dual vertex id out of range")
-    mask = bytearray(dual.tree.n_vertices)
-    for v in chosen:
-        mask[v] = 1
-    if not _marked_connected(dual.tree.adjacency, mask):
+    if not _spans_subtree(dual.tree, np.array(chosen, dtype=np.int64)):
         raise ValueError("dual vertices do not induce a connected subtree")
 
     edge_use = Counter()
@@ -369,7 +382,7 @@ def subtree_to_cycle(dual: DualTree, vertices) -> CycleResult:
     if len(walk) != len(boundary):
         raise StructureError("boundary is not a single cycle")
 
-    expected = sum(dual.tree.weights[v] for v in chosen) + 2
+    expected = int(dual.tree.weights[chosen].sum()) + 2
     if len(walk) != expected:
         raise StructureError(
             f"boundary length {len(walk)} != subtree weight + 2 = {expected}"
@@ -434,12 +447,12 @@ def find_cycle_near(
         # hypotheses cannot hold, and no window could help.
         found = None
     if found is None:
-        assert not cycle_search_guaranteed(
-            graph.n_vertices, graph.n_edges, k, g
-        ), "density guarantee held but the dual search failed"
+        if cycle_search_guaranteed(graph.n_vertices, graph.n_edges, k, g):
+            raise InvariantError("density guarantee held but the dual search failed")
         return None
     cycle = subtree_to_cycle(dual, found.vertices)
-    assert k - g + 1 <= cycle.length <= k
+    if not k - g + 1 <= cycle.length <= k:
+        raise InvariantError(f"cycle length {cycle.length} outside [{k - g + 1}, {k}]")
     return cycle
 
 
@@ -515,23 +528,17 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     interior_edges = n + len(interior.chord_of)  # one dual edge per chord
 
     if interior_edges > 3 * n // 2:
-        found = find_subtree(interior.tree, target, 1)
-        assert found is not None, "dense interior must contain the target subtree"
-        return subtree_to_cycle(interior, found.vertices)
+        return _guaranteed_cycle(interior, target, 1, "dense interior")
 
-    if max(interior.tree.weights) <= cap:
-        found = find_subtree(interior.tree, target, 2)
-        assert found is not None, "small interior faces must contain the target subtree"
-        return subtree_to_cycle(interior, found.vertices)
+    if interior.tree.max_weight <= cap:
+        return _guaranteed_cycle(interior, target, 2, "small interior faces")
 
     # Both regions now have exactly 3n/2 edges (edge counts are tied), so
     # the interior/exterior naming was an arbitrary tie-break; the same
     # small-face argument may apply to the other region.
     exterior = build_dual_tree(graph, ham, "exterior")
-    if max(exterior.tree.weights) <= cap:
-        found = find_subtree(exterior.tree, target, 2)
-        assert found is not None, "small exterior faces must contain the target subtree"
-        return subtree_to_cycle(exterior, found.vertices)
+    if exterior.tree.max_weight <= cap:
+        return _guaranteed_cycle(exterior, target, 2, "small exterior faces")
 
     # Both regions contain a face of length n/2: the only graph consistent
     # with that is the square of a cycle.  Verify via the hamilton
@@ -548,8 +555,16 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
             )
     walk = [ham.order[p] for p in _square_cycle_positions(n // 2 - 1)]
     cycle = CycleResult(tuple(walk))
-    assert verify_cycle(graph, cycle)
+    if not verify_cycle(graph, cycle):
+        raise InvariantError(f"hop-pattern walk {walk} is not a cycle")
     return cycle
+
+
+def _guaranteed_cycle(dual: DualTree, target: int, g: int, case: str) -> CycleResult:
+    found = find_subtree(dual.tree, target, g)
+    if found is None:
+        raise InvariantError(f"{case} must contain the target subtree")
+    return subtree_to_cycle(dual, found.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +578,25 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
 
 def parse_graph(text: str) -> tuple[PlaneGraph, HamiltonCycle]:
     """Parse the plane-graph file format (rotation lists + hamilton line)."""
-    n, lines = _read_header(text, "graph", 3)
-    adjacency: list[tuple[int, ...]] = [()] * n
-    seen = [False] * n
+    n, lineno, text, start = _read_header(text, "graph", 3)
+    lines = text[start:].split("\n")
     ham: HamiltonCycle | None = None
-    for lineno, line in lines[1:]:
+    for i, line in enumerate(lines):
+        line = line.strip()
         if line.startswith("hamilton:"):
             if ham is not None:
-                raise FormatError("duplicate hamilton line", lineno)
+                raise FormatError("duplicate hamilton line", lineno + 1 + i)
             try:
                 ham = HamiltonCycle(tuple(int(tok) for tok in line[9:].split()))
             except ValueError:
-                raise FormatError("non-integer token in hamilton line", lineno) from None
-            continue
-        v, nbrs = _read_vertex_line(lineno, line, n, seen, "<v>: <neighbors>")
-        adjacency[v] = nbrs
-    if not all(seen):
-        raise FormatError(f"no line for vertex {seen.index(False)}")
+                raise FormatError("non-integer token in hamilton line",
+                                  lineno + 1 + i) from None
+            lines[i] = ""
+    _, offsets, neighbors = _read_rows("\n".join(lines), 0, lineno, n, 1,
+                                       "<v>: <neighbors>")
     if ham is None:
         raise FormatError("missing 'hamilton:' line")
-    graph = PlaneGraph(tuple(adjacency))
+    graph = PlaneGraph(_csr_rows(offsets, neighbors))
     ham.validate(graph)
     return graph, ham
 

@@ -12,11 +12,13 @@ deliberately distinct from a false decision.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, InvariantError
 from .euler import find_subtree
-from .tree import ORACLE_CELL_BOUND, path_tree
+from .tree import ORACLE_CELL_BOUND, _first_non_int, path_tree
 
 
 class _NotApplicableType:
@@ -55,13 +57,21 @@ class Decision:
 
 
 def _check_values(values) -> tuple[int, ...]:
+    """values as a tuple of ints >= 1; numpy integers are accepted, bool
+    and float are not."""
     vals = tuple(values)
     if not vals:
         raise ValueError("multiset must be non-empty")
-    for i, a in enumerate(vals):
-        if type(a) is not int or a < 1:
-            raise ValueError(f"element {i}: {a!r} is not an integer >= 1")
-    return vals
+    bad = _first_non_int(vals, 1, math.inf)
+    if bad is not None:
+        raise ValueError(f"element {bad}: {vals[bad]!r} is not an integer >= 1")
+    return tuple(map(operator.index, vals))
+
+
+def _require(holds: bool, message: str) -> None:
+    """Raise InvariantError unless a proven guarantee holds."""
+    if not holds:
+        raise InvariantError(message)
 
 
 def verify_witness(values, witness: SubsetWitness, target: int) -> bool:
@@ -92,9 +102,9 @@ def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
     if total > 2 * n - 2 or not total - n + 1 <= k <= n or max(vals) > k:
         return NOT_APPLICABLE
     result = find_subtree(path_tree(vals), k, 1)
-    assert result is not None, "dense thresholds hold but the path search failed"
+    _require(result is not None, "dense thresholds hold but the path search failed")
     indices = tuple(sorted(result.vertices))
-    assert indices[-1] - indices[0] + 1 == len(indices), "path window not contiguous"
+    _require(indices[-1] - indices[0] + 1 == len(indices), "path window not contiguous")
     return SubsetWitness(indices, result.weight)
 
 
@@ -114,9 +124,8 @@ def partition_dense(values) -> Decision | _NotApplicableType:
     if max(vals) > half:
         return Decision(False, None)
     witness = subset_sum_dense(vals, half)
-    assert isinstance(witness, SubsetWitness), (
-        "partition threshold implies the dense subset-sum thresholds"
-    )
+    _require(isinstance(witness, SubsetWitness),
+             "partition threshold implies the dense subset-sum thresholds")
     return Decision(True, witness)
 
 
@@ -153,7 +162,8 @@ def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
         # of the input itself is the same question.
         part = partition_dense(vals)
         if isinstance(part, Decision):
-            assert part.value and part.witness is not None
+            _require(part.value and part.witness is not None,
+                     "partition of an instance in band must be true")
             return Decision(True, part.witness)
         # N == total - k == k exactly: the reduction falls one element
         # short of the Partition threshold, and the equivalence genuinely
@@ -162,16 +172,15 @@ def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
         return NOT_APPLICABLE
 
     part = partition_dense(vals + (extra,))
-    assert isinstance(part, Decision) and part.value and part.witness is not None, (
-        "via-partition threshold implies the partition threshold"
-    )
+    _require(isinstance(part, Decision) and part.value and part.witness is not None,
+             "via-partition threshold implies the partition threshold")
     chosen = set(part.witness.indices)
     if n in chosen:  # added element landed inside the witness half
         indices = tuple(sorted(chosen - {n}))
     else:  # it landed in the other half; take that half's remainder
         indices = tuple(i for i in range(n) if i not in chosen)
     witness = SubsetWitness(indices, sum(vals[i] for i in indices))
-    assert witness.total == k, "back-mapped witness must sum to k"
+    _require(witness.total == k, "back-mapped witness must sum to k")
     return Decision(True, witness)
 
 

@@ -8,19 +8,22 @@ but different neighbor orders are different inputs on purpose.
 Vertices are dense integers 0..n-1.  Weights are integers >= 1; a weight
 of zero would let windows change vertex content without changing weight,
 which breaks the search's accounting, so zero is rejected at construction.
+
+Trees are int64 arrays in compressed sparse row (CSR) form, which the
+tree, its closed walk and the search share: the dart (directed edge)
+offsets[v] + i leaves v along edge i of its rotation, to that index of
+neighbors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections import Counter
+import re
+from dataclasses import dataclass
+from itertools import chain
 
-from .errors import (
-    FormatError,
-    InstanceTooLargeError,
-    NotATreeError,
-    WeightError,
-)
+import numpy as np
+
+from .errors import FormatError, InstanceTooLargeError, NotATreeError, WeightError
 
 # Totals are kept below 2**62 so results stay inside machine-integer range
 # for any port of this code to fixed-width languages.
@@ -30,68 +33,167 @@ MAX_TOTAL_WEIGHT = 1 << 62
 ORACLE_CELL_BOUND = 10**8
 
 
-@dataclass(frozen=True)
-class WeightedTree:
-    """Immutable vertex-weighted tree.
+def _first_non_int(values, lo, hi) -> int | None:
+    """Index of the first entry of values that is not an integer in
+    [lo, hi), or None.  Integer arrays and numpy integer scalars count as
+    integers; bool, numpy bool and float do not."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        bad = np.flatnonzero((values < lo) | (values >= hi))
+    else:
+        bad = [i for i, x in enumerate(values)
+               if isinstance(x, bool) or not isinstance(x, (int, np.integer))
+               or not lo <= x < hi]
+    return int(bad[0]) if len(bad) else None
 
-    Attributes:
-        weights: weight of each vertex, indexed 0..n-1, every entry >= 1.
-        adjacency: per-vertex neighbor tuples in rotation order.
+
+def _weight_array(weights) -> np.ndarray:
+    bad = _first_non_int(weights, 1, MAX_TOTAL_WEIGHT)
+    if bad is not None:
+        raise WeightError(
+            f"vertex {bad}: weight {weights[bad]!r} is not an integer in [1, 2**62)"
+        )
+    return np.array(weights, dtype=np.int64)
+
+
+class WeightedTree:
+    """Vertex-weighted tree in CSR form.
+
+    weights (each >= 1), offsets (n + 1 entries) and neighbors (2(n - 1)
+    dart heads) are read-only int64 arrays: vertex v's neighbors in
+    rotation order are neighbors[offsets[v]:offsets[v + 1]].  total_weight
+    and max_weight are ints.  WeightedTree(weights, adjacency) takes
+    sequences, numpy integers included; bool and float weights are refused.
+    Building a tree walks it once, which proves it connected; the tree
+    keeps that walk for euler.build_euler_cycle.
     """
 
-    weights: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    total_weight: int = field(init=False)
+    __slots__ = ("weights", "offsets", "neighbors", "total_weight",
+                 "max_weight", "_stops", "_turns")
 
-    def __post_init__(self) -> None:
-        n = len(self.weights)
-        if n == 0:
-            raise NotATreeError("a tree needs at least one vertex")
-        if len(self.adjacency) != n:
-            raise NotATreeError(
-                f"{n} weights but {len(self.adjacency)} adjacency rows"
-            )
-        for v, w in enumerate(self.weights):
-            if type(w) is not int or w < 1:
-                raise WeightError(f"vertex {v}: weight {w!r} is not an integer >= 1")
-        total = sum(self.weights)
-        if total >= MAX_TOTAL_WEIGHT:
-            raise WeightError(f"total weight {total} exceeds 2**62")
-        object.__setattr__(self, "total_weight", total)
-
-        m = _check_rotation_system(self.adjacency, NotATreeError)
-        if m != n - 1:
-            raise NotATreeError(f"{m} edges for {n} vertices; a tree has {n - 1}")
-        if not _marked_connected(self.adjacency, bytearray(b"\x01") * n):
-            raise NotATreeError("adjacency is disconnected")
+    def __init__(self, weights, adjacency) -> None:
+        weights = _weight_array(weights)
+        n = len(weights)
+        if len(adjacency) != n:
+            raise NotATreeError(f"{n} weights but {len(adjacency)} adjacency rows")
+        offsets = _csr_offsets(adjacency)
+        flat = list(chain.from_iterable(adjacency))
+        bad = _first_non_int(flat, 0, n)
+        if bad is not None:
+            v = int(np.searchsorted(offsets, bad, "right")) - 1
+            raise NotATreeError(f"vertex {v}: neighbor {flat[bad]!r} out of range")
+        _csr_tree(weights, offsets, np.array(flat, dtype=np.int64), self)
 
     @property
     def n_vertices(self) -> int:
         return len(self.weights)
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbor tuples in rotation order, built on each access."""
+        return _csr_rows(self.offsets, self.neighbors)
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.offsets[v + 1] - self.offsets[v])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedTree):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, a), getattr(other, a))
+                   for a in ("weights", "offsets", "neighbors"))
+
+    def __repr__(self) -> str:
+        return f"WeightedTree({self.weights.tolist()}, {self.adjacency})"
 
 
-def _check_rotation_system(adjacency, error_cls) -> int:
-    """Check that ordered neighbor lists describe a simple undirected graph:
-    ids in range, no duplicate neighbors or self loops, and every edge
-    listed by both endpoints.  Returns the edge count; raises error_cls."""
-    n = len(adjacency)
-    edge_count = Counter()
-    for v, nbrs in enumerate(adjacency):
-        if len(set(nbrs)) != len(nbrs):
-            raise error_cls(f"vertex {v}: duplicate neighbor")
-        for u in nbrs:
-            if not 0 <= u < n:
-                raise error_cls(f"vertex {v}: neighbor {u} out of range")
-            if u == v:
-                raise error_cls(f"vertex {v}: self loop")
-            edge_count[(u, v) if u < v else (v, u)] += 1
-    for e, cnt in edge_count.items():
-        if cnt != 2:
-            raise error_cls(f"edge {e} is not listed by both endpoints")
-    return len(edge_count)
+def _csr_offsets(rows) -> np.ndarray:
+    """CSR offsets of a sequence of neighbor rows."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    return offsets
+
+
+def _csr_rows(offsets, neighbors) -> tuple[tuple[int, ...], ...]:
+    """The neighbor rows of CSR arrays, as tuples of ints."""
+    nbrs, off = neighbors.tolist(), offsets.tolist()
+    return tuple(tuple(nbrs[a:b]) for a, b in zip(off, off[1:]))
+
+
+def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
+    """Validate int64 CSR arrays as a tree and walk it; the arrays and the
+    walk go into tree, a new WeightedTree unless given."""
+    tree = WeightedTree.__new__(WeightedTree) if tree is None else tree
+    n = len(weights)
+    if n == 0:
+        raise NotATreeError("a tree needs at least one vertex")
+    heaviest = int(weights.max())
+    # The int64 sum cannot overflow below this bound; above it, sum exactly.
+    total = int(weights.sum()) if heaviest * n < 1 << 63 else sum(weights.tolist())
+    if total >= MAX_TOTAL_WEIGHT:
+        raise WeightError(f"total weight {total} exceeds 2**62")
+
+    successor = _pair_darts(offsets, neighbors, NotATreeError) + 1
+    if len(neighbors) != 2 * (n - 1):
+        raise NotATreeError(
+            f"{len(neighbors) // 2} edges for {n} vertices; a tree has {n - 1}")
+    # The walk leaves each vertex along the rotation successor of the edge
+    # it arrived by: after dart d comes the dart following reverse(d) in
+    # its vertex's block.  With n - 1 edges and no isolated vertex, the
+    # graph is a tree iff the orbit of dart 0 covers every dart.
+    wrap = successor == offsets[neighbors + 1]
+    successor[wrap] = offsets[neighbors[wrap]]
+    tour = np.empty_like(successor)
+    out, succ, d = memoryview(tour), memoryview(successor), 0
+    for i in range(len(tour)):
+        out[i] = d
+        d = succ[d]
+    del successor, wrap, out, succ
+    degrees = np.diff(offsets)
+    if np.count_nonzero(tour == 0) > 1 or n > 1 and not degrees.all():
+        raise NotATreeError("adjacency is disconnected")
+    stops = np.repeat(np.arange(n, dtype=np.int64), degrees)[tour]
+    tour -= offsets[stops]
+
+    tree.total_weight, tree.max_weight = total, heaviest
+    for name, array in (("weights", weights), ("offsets", offsets),
+                        ("neighbors", neighbors), ("_stops", stops), ("_turns", tour)):
+        array.flags.writeable = False
+        setattr(tree, name, array)
+    return tree
+
+
+def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
+    """Check that CSR neighbor lists describe a simple undirected graph:
+    ids in range, no self loops or duplicate neighbors, and every edge
+    listed by both endpoints.  Returns reverse, where reverse[d] is the
+    dart opposite dart d; raises error_cls.
+
+    One stable sort of the keys min * n + max does it all: both darts of
+    an edge share a key, so a valid graph sorts into pairs of equal keys
+    with different tails."""
+    n = len(offsets) - 1
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    bad = np.flatnonzero((neighbors < 0) | (neighbors >= n) | (neighbors == tails))
+    if bad.size:
+        v, u = int(tails[bad[0]]), int(neighbors[bad[0]])
+        raise error_cls(f"vertex {v}: self loop" if u == v
+                        else f"vertex {v}: neighbor {u} out of range")
+    keys = np.minimum(tails, neighbors) * n + np.maximum(tails, neighbors)
+    order = np.argsort(keys, kind="stable")
+    keys, tails = keys[order], tails[order]
+    same = keys[1:] == keys[:-1]
+    dup = same & (tails[1:] == tails[:-1])
+    if dup.any():
+        raise error_cls(f"vertex {tails[1:][dup].min()}: duplicate neighbor")
+    single = np.ones(len(keys), dtype=bool)
+    single[1:] &= ~same
+    single[:-1] &= ~same
+    if single.any():
+        a, b = divmod(int(keys[single][0]), n)
+        raise error_cls(f"edge {(a, b)} is not listed by both endpoints")
+    reverse = np.empty_like(order)
+    reverse[order[0::2]] = order[1::2]
+    reverse[order[1::2]] = order[0::2]
+    return reverse
 
 
 def _marked_connected(adjacency, mask: bytearray) -> bool:
@@ -112,15 +214,21 @@ def _marked_connected(adjacency, mask: bytearray) -> bool:
     return 1 not in mask
 
 
+def _spans_subtree(tree: WeightedTree, vertices: np.ndarray) -> bool:
+    """Whether distinct in-range vertices induce a connected subgraph of
+    the tree: in a forest, k vertices are connected iff they span k - 1
+    edges."""
+    inside = np.zeros(tree.n_vertices, dtype=bool)
+    inside[vertices] = True
+    tails = np.repeat(inside, np.diff(tree.offsets))
+    return int(np.count_nonzero(inside[tree.neighbors] & tails)) == 2 * (len(vertices) - 1)
+
+
 def path_tree(weights) -> WeightedTree:
     """Path with the given weights, vertex i adjacent to i-1 and i+1."""
-    n = len(weights)
-    if n == 1:
-        return WeightedTree((weights[0],), ((),))
-    adjacency = [(i - 1, i + 1) for i in range(n)]
-    adjacency[0] = (1,)
-    adjacency[n - 1] = (n - 2,)
-    return WeightedTree(tuple(weights), tuple(adjacency))
+    darts = np.arange(max(2 * len(weights) - 2, 0), dtype=np.int64)
+    offsets = np.clip(2 * np.arange(len(weights) + 1) - 1, 0, len(darts))
+    return _csr_tree(_weight_array(weights), offsets, darts // 2 + 1 - darts % 2)
 
 
 def star_tree(center_weight: int, leaf_weights) -> WeightedTree:
@@ -139,21 +247,35 @@ def star_tree(center_weight: int, leaf_weights) -> WeightedTree:
 #
 # one line per vertex, neighbors in rotation order, '#' starts a comment.
 
+_COMMENT = re.compile(r"#[^\n]*")
+_SPACE = re.compile(r"\s*")
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+# Byte classes of the array reader, as a bytes.translate table.
+_END, _COLON, _BLANK, _DIGIT, _SIGN, _OTHER = range(6)
+_CLASS_OF = bytearray([_OTHER]) * 256
+for _chars, _class in ((b"\n", _END), (b":", _COLON), (b" \t", _BLANK),
+                       (b"0123456789", _DIGIT), (b"+-", _SIGN)):
+    for _byte in _chars:
+        _CLASS_OF[_byte] = _class
+_CLASS_OF = bytes(_CLASS_OF)
 
 
 def _read_header(text: str, keyword: str, min_n: int):
-    """Content lines of an instance file and the n of its '<keyword> <n>'
-    header line, which must be the first content line."""
-    lines = list(_content_lines(text))
-    if not lines:
+    """Parse the '<keyword> <n>' header, the first content line of an
+    instance file.  Returns n, the header's line number, the text with
+    comments blanked and '\\n' as its only line break (so line numbers
+    keep), and where the line after the header starts in it."""
+    if any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+        text = "\n".join(text.splitlines())
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    start = _SPACE.match(text).end()
+    if start == len(text):
         raise FormatError("empty input")
-    lineno, header = lines[0]
+    lineno = text.count("\n", 0, start) + 1
+    end = text.find("\n", start)
+    end = len(text) if end < 0 else end
+    header = text[start:end].strip()
     parts = header.split()
     if len(parts) != 2 or parts[0] != keyword:
         raise FormatError(f"expected '{keyword} <n>' header, got {header!r}", lineno)
@@ -163,62 +285,137 @@ def _read_header(text: str, keyword: str, min_n: int):
         raise FormatError(f"bad vertex count {parts[1]!r}", lineno) from None
     if n < min_n:
         raise FormatError(f"vertex count must be >= {min_n}, got {n}", lineno)
-    return n, lines
+    return n, lineno, text, end + 1
 
 
-def _read_vertex_line(
-    lineno: int, line: str, n: int, seen: list[bool], usage: str
-) -> list:
-    """Split a vertex line shaped like usage ('<v>: ...: <neighbors>') into
-    its integer fields and the neighbor tuple, and mark v in seen."""
-    row = line.split(":")
-    if len(row) != usage.count(":") + 1:
-        raise FormatError(f"expected {usage!r}", lineno)
+def _canonical(line: str) -> str:
+    """line with each field that int() reads written as plain ASCII digits,
+    so that '1_0', non-ASCII digits and Unicode spaces mean what they mean
+    to int() and str.split(); a line int() refuses is returned unchanged."""
+    *lead, nbrs = line.strip().split(":")
     try:
-        nbrs = tuple(map(int, row.pop().split()))
-        row = list(map(int, row))
+        return ":".join([str(int(f)) for f in lead]
+                        + [" ".join(str(int(tok)) for tok in nbrs.split())])
     except ValueError:
-        raise FormatError(f"non-integer token in {line!r}", lineno) from None
-    v = row[0]
-    if not 0 <= v < n:
-        raise FormatError(f"vertex id {v} out of range 0..{n - 1}", lineno)
-    if seen[v]:
-        raise FormatError(f"vertex {v} defined twice", lineno)
-    seen[v] = True
-    row.append(nbrs)
-    return row
+        return line
+
+
+def _read_rows(text: str, start: int, lineno: int, n: int, lead: int, usage: str):
+    """Parse the vertex lines in text[start:], which follow line lineno.
+
+    Each content line is '<v>: ...: <neighbors>' with lead integer fields
+    before the neighbors (the second, a tree's weight, must be >= 1), and
+    each v in 0..n-1 has one line.  Raises FormatError for the first bad
+    line, as a line-by-line reader would, then for the first vertex
+    without a line.  Returns the lead fields as an (n, lead) array and the
+    CSR offsets and neighbors, all in vertex order.
+
+    The checks run on whole arrays: tokens are the runs of bytes between
+    blanks, colons and line ends, and numpy reads them once each is known
+    to be an optionally signed run of ASCII digits.  Each intermediate
+    array is dropped once used, to keep the peak memory down."""
+    raw = (text[start:] + "\n").encode()
+    classes = raw.translate(_CLASS_OF)
+    if bytes([_OTHER]) in classes:
+        raw = ("\n".join(map(_canonical, text[start:].split("\n"))) + "\n").encode()
+        classes = raw.translate(_CLASS_OF)
+    kind = np.frombuffer(classes, dtype=np.uint8)
+    ends = np.flatnonzero(kind == _END)
+
+    def per_line(positions):
+        return np.diff(np.searchsorted(positions, ends), prepend=0)
+
+    starts = kind > _BLANK
+    starts[1:] &= kind[:-1] <= _BLANK  # the first byte of each token
+    # Junk: a byte no integer has, or a sign that does not start a token
+    # or is not followed by a digit.
+    sign = np.flatnonzero(kind == _SIGN)
+    sign = sign[~starts[sign] | (kind[sign + 1] != _DIGIT)]
+    junk = per_line(np.sort(np.r_[np.flatnonzero(kind == _OTHER), sign]))
+    colon_at = np.flatnonzero(kind == _COLON)
+    del classes, kind, sign
+    starts = np.flatnonzero(starts)
+    colons = per_line(colon_at)
+    before = np.searchsorted(starts, ends)  # tokens before each line end
+    tokens = np.diff(before, prepend=0)
+    # Tokens before each colon, plus a spare entry that keeps the gather
+    # below in bounds; each lead field holds exactly one token.
+    at_colon = np.append(np.searchsorted(starts, colon_at), 0)
+    del starts, colon_at
+    lines = np.flatnonzero(colons + tokens)  # the content lines
+    count = len(lines)
+    first_colon = (np.cumsum(colons) - colons)[lines, None] + np.arange(lead)
+    bounds = np.c_[(before - tokens)[lines],
+                   at_colon[np.minimum(first_colon, len(at_colon) - 1)]]
+    bad = np.flatnonzero((colons[lines] != lead) | (junk[lines] > 0)
+                         | (np.diff(bounds, axis=1) != 1).any(axis=1))
+    cut = int(bad[0]) if len(bad) else count  # lines before cut read cleanly
+    del before, at_colon, first_colon, bounds, junk
+
+    tokens = tokens[lines[:cut]]
+    values = np.fromstring(raw.replace(b":", b" "), dtype=np.int64,
+                           count=int(tokens.sum()), sep=" ")
+    huge = np.flatnonzero((values >= 10**18) | (values <= -10**18))
+    if len(huge):  # numpy saturates beyond int64, not always with the sign
+        words = raw.replace(b":", b" ").split()
+        values[huge] = [max(-MAX_TOTAL_WEIGHT, min(int(words[i]), MAX_TOTAL_WEIGHT))
+                        for i in huge]
+    at_lead = (np.cumsum(tokens) - tokens)[:, None] + np.arange(lead)
+    fields = values[at_lead]
+    v = fields[:, 0]
+    order = np.argsort(v, kind="stable")
+    twice = np.zeros(cut, dtype=bool)
+    twice[order[1:]] = v[order[1:]] == v[order[:-1]]
+    outside = (v < 0) | (v >= n)
+    light = fields[:, -1] < 1 if lead == 2 else np.zeros(cut, dtype=bool)
+    late = np.flatnonzero(outside | twice | light)
+    if len(late):
+        i = int(late[0])
+        msg = (f"vertex id {v[i]} out of range 0..{n - 1}" if outside[i]
+               else f"vertex {v[i]} defined twice" if twice[i]
+               else f"vertex {v[i]}: weight must be >= 1, got {fields[i, 1]}")
+        raise FormatError(msg, lineno + 1 + int(lines[i]))
+    if cut < count:
+        end = int(ends[lines[cut]])
+        line = raw[raw.rfind(b"\n", 0, end) + 1:end].decode().strip()
+        msg = (f"expected {usage!r}" if colons[lines[cut]] != lead
+               else f"non-integer token in {line!r}")
+        raise FormatError(msg, lineno + 1 + int(lines[cut]))
+    if count < n:
+        missing = np.setdiff1d(np.arange(n), v)[0]
+        raise FormatError(f"no line for vertex {missing}")
+
+    keep = np.ones(len(values), dtype=bool)
+    keep[at_lead] = False
+    neighbors, degrees = values[keep], tokens - lead
+    del raw, values, keep, at_lead
+    if (v != np.arange(n)).any():  # put the lines in vertex order
+        neighbors = neighbors[np.argsort(np.repeat(v, degrees), kind="stable")]
+        fields, degrees = fields[order], degrees[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return fields, offsets, neighbors
 
 
 def parse_tree(text: str) -> WeightedTree:
     """Parse the tree file format; raises FormatError with a line number."""
-    n, lines = _read_header(text, "tree", 1)
-    if len(lines) - 1 != n:
-        raise FormatError(
-            f"expected {n} vertex lines, found {len(lines) - 1}", lines[0][0]
-        )
-
-    weights: list[int] = [0] * n
-    adjacency: list[tuple[int, ...]] = [()] * n
-    seen = [False] * n
-    usage = "<v>: <weight>: <neighbors>"
-    for lineno, line in lines[1:]:
-        v, w, nbrs = _read_vertex_line(lineno, line, n, seen, usage)
-        if w < 1:
-            raise FormatError(f"vertex {v}: weight must be >= 1, got {w}", lineno)
-        weights[v] = w
-        adjacency[v] = nbrs
-    try:
-        return WeightedTree(tuple(weights), tuple(adjacency))
-    except (NotATreeError, WeightError) as exc:
-        raise type(exc)(str(exc)) from None
+    n, lineno, text, start = _read_header(text, "tree", 1)
+    fields, offsets, neighbors = _read_rows(
+        text, start, lineno, n, 2, "<v>: <weight>: <neighbors>")
+    return _csr_tree(fields[:, 1].copy(), offsets, neighbors)
 
 
 def serialize_tree(tree: WeightedTree) -> str:
-    out = [f"tree {tree.n_vertices}"]
-    for v in range(tree.n_vertices):
-        nbrs = " ".join(str(u) for u in tree.adjacency[v])
-        out.append(f"{v}: {tree.weights[v]}: {nbrs}".rstrip())
-    return "\n".join(out) + "\n"
+    out = [f"tree {tree.n_vertices}\n"]
+    # In blocks of vertices, so that no per-vertex object outlives its block.
+    for lo in range(0, tree.n_vertices, 1 << 16):
+        hi = min(lo + (1 << 16), tree.n_vertices)
+        off = (tree.offsets[lo:hi + 1] - tree.offsets[lo]).tolist()
+        nbrs = tree.neighbors[tree.offsets[lo]:tree.offsets[hi]].tolist()
+        out.append("".join(
+            f"{v}: {w}: {' '.join(map(str, nbrs[a:b]))}".rstrip() + "\n"
+            for v, w, a, b in zip(range(lo, hi), tree.weights[lo:hi].tolist(), off, off[1:])))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +475,7 @@ def check_conditions(tree: WeightedTree, k: int, g: int) -> ConditionReport:
         slack_ok=g + h > 2,
         lower_ok=2 * k - 4 * g - h + 3 <= n2,
         upper_ok=n2 <= 2 * k + g + h - 2,
-        cap_ok=max(tree.weights) <= k,
+        cap_ok=tree.max_weight <= k,
     )
 
 
@@ -303,7 +500,7 @@ def achievable_subtree_weights(tree: WeightedTree) -> frozenset[int]:
             f"oracle table {n} * {tree.total_weight} exceeds {ORACLE_CELL_BOUND}"
         )
     adjacency = tree.adjacency
-    weights = tree.weights
+    weights = tree.weights.tolist()
 
     parent = [-1] * n
     order = [0]

@@ -7,7 +7,9 @@ two is meaningful evidence.
 
 from __future__ import annotations
 
-from treewindow import WeightedTree
+from collections import Counter
+
+from treewindow import FormatError, NotATreeError, WeightError, WeightedTree
 
 
 def naive_subtree_weights(tree: WeightedTree) -> set[int]:
@@ -61,3 +63,98 @@ def naive_subset_sums(values) -> set[int]:
     for v in values:
         sums |= {s + v for s in sums}
     return sums
+
+
+# ---------------------------------------------------------------------------
+# The tuple-based tree reader and validator, as a reference for the array
+# reader in treewindow.tree: one line and one vertex at a time.
+# ---------------------------------------------------------------------------
+
+
+def oracle_parse_tree(text: str):
+    """(weights, adjacency) tuples of a tree file, or the exception
+    (FormatError, NotATreeError, WeightError) a tree file earns."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise FormatError("empty input")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "tree":
+        raise FormatError(f"expected 'tree <n>' header, got {header!r}", lineno)
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise FormatError(f"bad vertex count {parts[1]!r}", lineno) from None
+    if n < 1:
+        raise FormatError(f"vertex count must be >= 1, got {n}", lineno)
+    if len(lines) - 1 != n:
+        raise FormatError(f"expected {n} vertex lines, found {len(lines) - 1}")
+
+    weights = [0] * n
+    adjacency = [()] * n
+    seen = [False] * n
+    for lineno, line in lines[1:]:
+        row = line.split(":")
+        if len(row) != 3:
+            raise FormatError("expected '<v>: <weight>: <neighbors>'", lineno)
+        try:
+            nbrs = tuple(map(int, row[2].split()))
+            v, w = int(row[0]), int(row[1])
+        except ValueError:
+            raise FormatError(f"non-integer token in {line!r}", lineno) from None
+        if not 0 <= v < n:
+            raise FormatError(f"vertex id {v} out of range", lineno)
+        if seen[v]:
+            raise FormatError(f"vertex {v} defined twice", lineno)
+        seen[v] = True
+        if w < 1:
+            raise FormatError(f"vertex {v}: weight must be >= 1", lineno)
+        weights[v] = w
+        adjacency[v] = nbrs
+    oracle_check_tree(weights, adjacency)
+    return tuple(weights), tuple(adjacency)
+
+
+def oracle_check_tree(weights, adjacency) -> None:
+    """Raise WeightError or NotATreeError unless this is a tree."""
+    n = len(weights)
+    if sum(weights) >= 1 << 62:
+        raise WeightError("total weight exceeds 2**62")
+    edge_count = Counter()
+    for v, nbrs in enumerate(adjacency):
+        if len(set(nbrs)) != len(nbrs):
+            raise NotATreeError(f"vertex {v}: duplicate neighbor")
+        for u in nbrs:
+            if not 0 <= u < n or u == v:
+                raise NotATreeError(f"vertex {v}: bad neighbor {u}")
+            edge_count[(u, v) if u < v else (v, u)] += 1
+    if any(cnt != 2 for cnt in edge_count.values()):
+        raise NotATreeError("an edge is not listed by both endpoints")
+    if len(edge_count) != n - 1:
+        raise NotATreeError(f"{len(edge_count)} edges for {n} vertices")
+    seen = {0}
+    stack = [0]
+    while stack:
+        for u in adjacency[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != n:
+        raise NotATreeError("adjacency is disconnected")
+
+
+def oracle_walk(adjacency) -> list[tuple[int, int]]:
+    """The closed walk as (vertex, rotation index) stops, from vertex 0
+    along its first edge: arriving at u from v, leave u by the edge after
+    the one back to v."""
+    stops = []
+    v, r = 0, 0
+    for _ in range(sum(map(len, adjacency))):
+        stops.append((v, r))
+        u = adjacency[v][r]
+        v, r = u, (adjacency[u].index(v) + 1) % len(adjacency[u])
+    return stops

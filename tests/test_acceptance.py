@@ -281,7 +281,7 @@ def test_8_structural_invariants():
         n = tree.n_vertices
         assert len(cycle) == 2 * (n - 1)
         for v in range(n):
-            assert cycle.vertices.count(v) == tree.degree(v)
+            assert cycle.vertices.tolist().count(v) == tree.degree(v)
         walks += 1
 
         # trace replay: reported weight always matches the window content,

@@ -1,7 +1,14 @@
 """Closed walk construction and the windowed subtree search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import treewindow
 
 from treewindow import (
     DegenerateTreeError,
@@ -55,8 +62,8 @@ def is_connected_in(tree: WeightedTree, vertices: set[int]) -> bool:
 class TestEulerCycle:
     def test_three_vertex_path(self):
         cycle = build_euler_cycle(path_tree((1, 2, 1)))
-        assert cycle.vertices == (0, 1, 2, 1)
-        assert cycle.rotation == (0, 1, 0, 0)
+        assert cycle.vertices.tolist() == [0, 1, 2, 1]
+        assert cycle.rotation.tolist() == [0, 1, 0, 0]
 
     def test_single_vertex_refused(self):
         with pytest.raises(DegenerateTreeError):
@@ -84,7 +91,7 @@ class TestEulerCycle:
 
         # multiplicity of each vertex equals its degree
         for v in range(n):
-            assert cycle.vertices.count(v) == tree.degree(v)
+            assert cycle.vertices.tolist().count(v) == tree.degree(v)
 
 
 class TestFindSubtree:
@@ -128,6 +135,12 @@ class TestFindSubtree:
         assert check_conditions(tree, 3, 1).overall
         with pytest.raises(ValueError, match="another tree"):
             find_subtree(tree, 3, 1, cycle=build_euler_cycle(path_tree((1, 1))))
+
+    def test_walk_of_same_size_tree_refused(self):
+        # Both walks have six stops, so only the tie to its tree tells them apart.
+        with pytest.raises(ValueError, match="another tree"):
+            find_subtree(path_tree((1,) * 4), 2, 1, start=5,
+                         cycle=build_euler_cycle(star_tree(1, (1, 1, 1))))
 
     def test_tight_star_misses_window(self):
         inst = tight_instance("star_gh", 2)
@@ -214,3 +227,46 @@ class TestSearchProperties:
             inside = {cycle.vertices[i] for i in stops}
             assert weight == sum(tree.weights[v] for v in inside)
             assert is_connected_in(tree, inside)
+
+
+_OPTIMIZED_SWEEP = """
+import sys
+import treewindow.subsetsum as subsetsum
+from treewindow import (InvariantError, check_conditions, find_subtree,
+                        subset_sum_dense, verify_subtree)
+from treewindow.generators import random_tree
+
+if __debug__:
+    sys.exit("assertions are on; run with python -O")
+searched = 0
+for seed in range(120):
+    tree = random_tree(2 + seed % 25, 1 + seed % 4, seed)
+    for k in range(1, tree.total_weight + 1):
+        for g in (1, 2, 3):
+            if not check_conditions(tree, k, g).overall:
+                continue
+            found = find_subtree(tree, k, g, start=seed % (2 * tree.n_vertices - 2))
+            if found is None or not verify_subtree(tree, found, k, g):
+                sys.exit(f"guarantee broken: seed {seed}, k {k}, g {g}")
+            searched += 1
+
+# A search that breaks its guarantee must still raise under -O.
+subsetsum.find_subtree = lambda *args, **kwargs: None
+try:
+    subset_sum_dense((1, 2, 1, 2, 1), 4)
+    sys.exit("a broken guarantee went unnoticed")
+except InvariantError:
+    pass
+print(searched)
+"""
+
+
+def test_guarantees_survive_optimize():
+    """The guarantee sweep holds, and its checks still fire, under -O."""
+    src = str(Path(treewindow.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SWEEP],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert int(proc.stdout) > 1000

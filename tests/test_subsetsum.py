@@ -1,5 +1,6 @@
 """Dense SubsetSum / Partition solvers against the exhaustive oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +47,23 @@ class TestDense:
     def test_bool_values_rejected(self):
         with pytest.raises(ValueError):
             subset_sum_dense((True, 1, 1), 2)
+
+    @pytest.mark.parametrize("values", [
+        np.array([1, 2, 1, 2, 1]), tuple(np.array([1, 2, 1, 2, 1])),
+        (1, np.int32(2), 1, 2, np.uint8(1)),
+    ], ids=["int64-array", "int64-scalars", "mixed-scalars"])
+    def test_numpy_integer_values_accepted(self, values):
+        w = subset_sum_dense(values, 4)
+        assert w == subset_sum_dense((1, 2, 1, 2, 1), 4)
+        assert all(type(i) is int for i in w.indices) and type(w.total) is int
+
+    @pytest.mark.parametrize("values", [
+        np.array([True, True, True]), (np.True_, 1, 1), (1.0, 1, 1),
+        (np.float64(1), 1, 1), np.array([1.0, 1.0, 1.0]),
+    ], ids=["bool-array", "numpy-bool", "float", "numpy-float", "float-array"])
+    def test_bool_and_float_values_rejected(self, values):
+        with pytest.raises(ValueError):
+            subset_sum_dense(values, 2)
 
 
 class TestPartition:

@@ -1,14 +1,17 @@
 """Weighted trees: validation, file format, conditions, weight oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treewindow import (
     FormatError,
     NotATreeError,
+    TreeWindowError,
     WeightError,
     WeightedTree,
     achievable_subtree_weights,
+    build_euler_cycle,
     check_conditions,
     parse_tree,
     path_tree,
@@ -16,7 +19,8 @@ from treewindow import (
     star_tree,
     tight_instance,
 )
-from helpers import naive_subtree_weights
+from treewindow.generators import random_tree
+from helpers import naive_subtree_weights, oracle_parse_tree, oracle_walk
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
 
@@ -51,6 +55,30 @@ class TestValidation:
     def test_bool_weight_rejected(self):
         with pytest.raises(WeightError):
             WeightedTree((True, True), ((1,), (0,)))
+
+    @pytest.mark.parametrize("weights", [
+        np.array([1, 2]), np.array([1, 2], dtype=np.uint8),
+        tuple(np.array([1, 2])), (np.int32(1), 2),
+    ], ids=["int64-array", "uint8-array", "int64-scalars", "int32-scalar"])
+    def test_numpy_integer_weights_accepted(self, weights):
+        tree = WeightedTree(weights, ((1,), (0,)))
+        assert tree.weights.tolist() == [1, 2] and tree.total_weight == 3
+        assert type(tree.total_weight) is int and type(tree.max_weight) is int
+
+    @pytest.mark.parametrize("weights", [
+        (True, 2), np.array([True, True]), (np.True_, 2),
+        (1.0, 2), (np.float64(1), 2), np.array([1.0, 2.0]),
+    ], ids=["bool", "bool-array", "numpy-bool", "float", "numpy-float",
+            "float-array"])
+    def test_bool_and_float_weights_rejected(self, weights):
+        with pytest.raises(WeightError):
+            WeightedTree(weights, ((1,), (0,)))
+
+    def test_neighbors_must_be_integers(self):
+        with pytest.raises(NotATreeError, match="vertex 0"):
+            WeightedTree((1, 1), ((True,), (0,)))
+        with pytest.raises(NotATreeError, match="vertex 1"):
+            WeightedTree((1, 1), ((1,), (0.0,)))
 
     def test_self_loop(self):
         with pytest.raises(NotATreeError):
@@ -90,7 +118,7 @@ tree 3
 
     def test_parse(self):
         t = parse_tree(self.GOOD)
-        assert t.weights == (1, 4, 2)
+        assert t.weights.tolist() == [1, 4, 2]
         assert t.adjacency == ((1,), (0, 2), (1,))
 
     def test_roundtrip(self):
@@ -194,3 +222,123 @@ class TestTightFamilies:
             tight_instance("star_cap", 4, 5)  # q must stay <= p
         with pytest.raises(ValueError):
             tight_instance("no_such_family", 4)
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: the array reader against the line-by-line oracle
+# ---------------------------------------------------------------------------
+
+_BAD_TOKENS = ("x", "1.5", "", "+", "-", "--1", "1-", "0x1", "1e3", "١", "1_0",
+               "+7", "-0", "007", " 3", "99999999999999999999", "3\x1f", "٣٣")
+
+
+def _mutate(data, lines: list[str]) -> list[str]:
+    """One random edit of a tree file's lines (header first)."""
+    n = len(lines) - 1
+    i = data.draw(st.integers(1, max(n, 1)), label="line")
+    kind = data.draw(st.sampled_from(
+        ["drop_line", "dup_line", "swap_lines", "drop_token", "dup_token",
+         "bad_token", "out_of_range", "one_sided_edge", "both_sided_edge",
+         "comment", "blank", "spacing", "weight", "header"]), label="kind")
+    if i >= len(lines):
+        lines.append("")
+    line = lines[i]
+    tokens = line.split(" ")
+    if kind == "drop_line":
+        del lines[i:i + 1]
+    elif kind == "dup_line":
+        lines.insert(i, line)
+    elif kind == "swap_lines":
+        j = data.draw(st.integers(1, len(lines) - 1), label="other")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind in ("drop_token", "dup_token", "bad_token", "out_of_range"):
+        t = data.draw(st.integers(0, len(tokens) - 1), label="token")
+        if kind == "drop_token":
+            del tokens[t]
+        elif kind == "dup_token":
+            tokens.insert(t, tokens[t])
+        else:
+            suffix = ":" if tokens[t].endswith(":") else ""
+            new = (data.draw(st.sampled_from(_BAD_TOKENS)) if kind == "bad_token"
+                   else str(data.draw(st.sampled_from([-1, n, n + 1, -n]))))
+            tokens[t] = new + suffix
+        lines[i] = " ".join(tokens)
+    elif kind in ("one_sided_edge", "both_sided_edge"):
+        u = data.draw(st.integers(1, len(lines) - 1), label="u")
+        v = data.draw(st.integers(1, len(lines) - 1), label="v")
+        lines[u] += f" {v - 1}"
+        if kind == "both_sided_edge":
+            lines[v] += f" {u - 1}"
+    elif kind == "comment":
+        lines.insert(i, "# " + data.draw(st.sampled_from(["note", "1: 2: 3", ""])))
+        lines[0] += "  # header comment"
+    elif kind == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t", " "])))
+    elif kind == "spacing":
+        gap = data.draw(st.sampled_from(["\t", "  ", "\xa0", "\x1f", "\x0b", "\u2028"]))
+        lines[i] = gap + line.replace(": ", " :", 1).replace(" ", gap) + gap
+    elif kind == "weight" and line.count(":") == 2:
+        v, _, nbrs = line.split(":")
+        w = data.draw(st.sampled_from(["0", "-3", str(1 << 62), "5"]))
+        lines[i] = f"{v}: {w}:{nbrs}"
+    elif kind == "header":
+        lines[0] = data.draw(st.sampled_from(
+            [f"tree {n + 1}", f"tree {n - 1}", "tree", "tree x", "graph 3", "tree 0"]))
+    return lines
+
+
+def _cycle_plus_part(n: int) -> str:
+    """A triangle on 0, 1, 2 and a path on 3..n-1: n - 1 edges, no tree."""
+    adjacency = [[1, 2], [0, 2], [0, 1]] + [[] for _ in range(n - 3)]
+    for v in range(4, n):
+        adjacency[v - 1].append(v)
+        adjacency[v].append(v - 1)
+    return f"tree {n}\n" + "".join(
+        f"{v}: 1: {' '.join(map(str, row))}\n" for v, row in enumerate(adjacency))
+
+
+class TestDifferentialFuzz:
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_reader_matches_oracle(self, data):
+        if data.draw(st.booleans(), label="cycle_plus_part"):
+            text = _cycle_plus_part(data.draw(st.integers(4, 9), label="n"))
+        else:
+            tree = random_tree(data.draw(st.integers(1, 9), label="n"),
+                               data.draw(st.integers(1, 4), label="w"),
+                               data.draw(st.integers(0, 99), label="seed"))
+            text = serialize_tree(tree)
+        lines = text.splitlines()
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            lines = _mutate(data, lines)
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+        try:
+            expected = oracle_parse_tree(text)
+        except TreeWindowError as exc:
+            expected = type(exc)
+        try:
+            tree = parse_tree(text)
+        except TreeWindowError as exc:
+            assert type(exc) is expected, (text, exc)
+            return
+        assert isinstance(expected, tuple), (text, expected)
+        weights, adjacency = expected
+        assert tree.weights.tolist() == list(weights)
+        assert tree.adjacency == adjacency
+        if tree.n_vertices > 1:
+            cycle = build_euler_cycle(tree)
+            walk = list(zip(cycle.vertices.tolist(), cycle.rotation.tolist()))
+            assert walk == oracle_walk(adjacency)
+        assert serialize_tree(parse_tree(serialize_tree(tree))) == serialize_tree(tree)
+
+    def test_large_values_keep_their_error_class(self):
+        base = "tree 2\n0: 1: 1\n1: 1: 0\n"
+        for text in (base.replace("0: 1:", "0: 99999999999999999999:"),
+                     base.replace("0: 1:", "0: -99999999999999999999:"),
+                     base.replace("0: 1: 1", "0: 1: 99999999999999999999"),
+                     base.replace("1: 1: 0", "99999999999999999999: 1: 0")):
+            with pytest.raises(TreeWindowError) as got:
+                parse_tree(text)
+            with pytest.raises(type(got.value)):
+                oracle_parse_tree(text)
