@@ -358,8 +358,12 @@ def _read_rows(text: str, start: int, lineno: int, n: int, lead: int, usage: str
     huge = np.flatnonzero((values >= 10**18) | (values <= -10**18))
     if len(huge):  # numpy saturates beyond int64, not always with the sign
         words = raw.replace(b":", b" ").split()
-        values[huge] = [max(-MAX_TOTAL_WEIGHT, min(int(words[i]), MAX_TOTAL_WEIGHT))
-                        for i in huge]
+        for i in huge:
+            try:
+                values[i] = max(-MAX_TOTAL_WEIGHT, min(int(words[i]), MAX_TOTAL_WEIGHT))
+            except ValueError:  # more digits than int() reads
+                line = lines[np.searchsorted(np.cumsum(tokens), i, "right")]
+                raise FormatError("integer token too long", lineno + 1 + int(line)) from None
     at_lead = (np.cumsum(tokens) - tokens)[:, None] + np.arange(lead)
     fields = values[at_lead]
     v = fields[:, 0]
@@ -381,9 +385,9 @@ def _read_rows(text: str, start: int, lineno: int, n: int, lead: int, usage: str
         msg = (f"expected {usage!r}" if colons[lines[cut]] != lead
                else f"non-integer token in {line!r}")
         raise FormatError(msg, lineno + 1 + int(lines[cut]))
-    if count < n:
-        missing = np.setdiff1d(np.arange(n), v)[0]
-        raise FormatError(f"no line for vertex {missing}")
+    if count < n:  # the first gap in the sorted ids; n may be huge
+        gaps = np.flatnonzero(v[order] != np.arange(count))
+        raise FormatError(f"no line for vertex {gaps[0] if len(gaps) else count}")
 
     keep = np.ones(len(values), dtype=bool)
     keep[at_lead] = False

@@ -283,7 +283,8 @@ def _mutate(data, lines: list[str]) -> list[str]:
         lines[i] = f"{v}: {w}:{nbrs}"
     elif kind == "header":
         lines[0] = data.draw(st.sampled_from(
-            [f"tree {n + 1}", f"tree {n - 1}", "tree", "tree x", "graph 3", "tree 0"]))
+            [f"tree {n + 1}", f"tree {n - 1}", "tree", "tree x", "graph 3", "tree 0",
+             "tree 1000000000000"]))
     return lines
 
 
@@ -337,7 +338,8 @@ class TestDifferentialFuzz:
         for text in (base.replace("0: 1:", "0: 99999999999999999999:"),
                      base.replace("0: 1:", "0: -99999999999999999999:"),
                      base.replace("0: 1: 1", "0: 1: 99999999999999999999"),
-                     base.replace("1: 1: 0", "99999999999999999999: 1: 0")):
+                     base.replace("1: 1: 0", "99999999999999999999: 1: 0"),
+                     base.replace("0: 1:", "0: " + "9" * 5000 + ":")):
             with pytest.raises(TreeWindowError) as got:
                 parse_tree(text)
             with pytest.raises(type(got.value)):
