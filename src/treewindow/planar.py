@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import Counter
-from itertools import chain
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
 from .euler import find_subtree
 from .tree import (
     WeightedTree,
-    _csr_offsets,
+    _csr,
     _csr_rows,
     _csr_tree,
     _marked_connected,
@@ -88,10 +87,7 @@ class PlaneGraph:
         n = len(self.adjacency)
         if n < 3:
             raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
-        offsets = _csr_offsets(self.adjacency)
-        neighbors = np.fromiter(chain.from_iterable(self.adjacency),
-                                dtype=np.int64, count=offsets[-1])
-        m = len(_pair_darts(offsets, neighbors, EmbeddingError)) // 2
+        m = len(_pair_darts(*_csr(self.adjacency, EmbeddingError), EmbeddingError)) // 2
         if not _marked_connected(self.adjacency, bytearray(b"\x01") * n):
             raise EmbeddingError("graph is disconnected")
 
@@ -308,14 +304,9 @@ def build_dual_tree(
                 adjacency[fid].append(renumber[other])
                 chord_of[_norm(fid, renumber[other])] = _norm(a, b)
 
-    offsets = _csr_offsets(adjacency)
     try:
-        tree = _csr_tree(
-            np.array([len(walk) - 2 for walk in side_faces], dtype=np.int64),
-            offsets,
-            np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                        count=offsets[-1]),
-        )
+        weights = np.array([len(walk) - 2 for walk in side_faces], dtype=np.int64)
+        tree = _csr_tree(weights, *_csr(adjacency, StructureError))
     except Exception as exc:
         raise StructureError(f"face adjacency of the {side} region is not a tree: {exc}")
     if tree.total_weight != n - 2:

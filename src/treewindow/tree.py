@@ -75,13 +75,7 @@ class WeightedTree:
         n = len(weights)
         if len(adjacency) != n:
             raise NotATreeError(f"{n} weights but {len(adjacency)} adjacency rows")
-        offsets = _csr_offsets(adjacency)
-        flat = list(chain.from_iterable(adjacency))
-        bad = _first_non_int(flat, 0, n)
-        if bad is not None:
-            v = int(np.searchsorted(offsets, bad, "right")) - 1
-            raise NotATreeError(f"vertex {v}: neighbor {flat[bad]!r} out of range")
-        _csr_tree(weights, offsets, np.array(flat, dtype=np.int64), self)
+        _csr_tree(weights, *_csr(adjacency, NotATreeError), self)
 
     @property
     def n_vertices(self) -> int:
@@ -105,11 +99,17 @@ class WeightedTree:
         return f"WeightedTree({self.weights.tolist()}, {self.adjacency})"
 
 
-def _csr_offsets(rows) -> np.ndarray:
-    """CSR offsets of a sequence of neighbor rows."""
+def _csr(rows, error_cls) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets and neighbors of a sequence of neighbor rows; raises
+    error_cls for the first neighbor that is not a vertex id."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=offsets[1:])
-    return offsets
+    flat = list(chain.from_iterable(rows))
+    bad = _first_non_int(flat, 0, len(rows))
+    if bad is not None:
+        v = int(np.searchsorted(offsets, bad, "right")) - 1
+        raise error_cls(f"vertex {v}: neighbor {flat[bad]!r} out of range")
+    return offsets, np.array(flat, dtype=np.int64)
 
 
 def _csr_rows(offsets, neighbors) -> tuple[tuple[int, ...], ...]:

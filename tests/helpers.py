@@ -65,15 +65,20 @@ def naive_subset_sums(values) -> set[int]:
     return sums
 
 
+# Tokens for fuzzing instance files: malformed ones, and spellings of
+# integers that int() reads but a plain digit scan would not.
+FUZZ_TOKENS = ("x", "1.5", "", "+", "-", "--1", "1-", "0x1", "1e3", "١", "1_0",
+               "+7", "-0", "007", " 3", "99999999999999999999", "3\x1f", "٣٣")
+
+
 # ---------------------------------------------------------------------------
-# The tuple-based tree reader and validator, as a reference for the array
-# reader in treewindow.tree: one line and one vertex at a time.
+# The tuple-based line-by-line readers of tree and graph files, and the tree
+# validator, as references for the array reader in treewindow.tree.
 # ---------------------------------------------------------------------------
 
 
-def oracle_parse_tree(text: str):
-    """(weights, adjacency) tuples of a tree file, or the exception
-    (FormatError, NotATreeError, WeightError) a tree file earns."""
+def _oracle_lines(text: str, keyword: str, min_n: int):
+    """n and the content lines (lineno, line) of a '<keyword> <n>' file."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,40 +88,77 @@ def oracle_parse_tree(text: str):
         raise FormatError("empty input")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "tree":
-        raise FormatError(f"expected 'tree <n>' header, got {header!r}", lineno)
+    if len(parts) != 2 or parts[0] != keyword:
+        raise FormatError(f"expected '{keyword} <n>' header, got {header!r}", lineno)
     try:
         n = int(parts[1])
     except ValueError:
         raise FormatError(f"bad vertex count {parts[1]!r}", lineno) from None
-    if n < 1:
-        raise FormatError(f"vertex count must be >= 1, got {n}", lineno)
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} vertex lines, found {len(lines) - 1}")
+    if n < min_n:
+        raise FormatError(f"vertex count must be >= {min_n}, got {n}", lineno)
+    return n, lines[1:]
 
+
+def _oracle_row(lineno: int, line: str, n: int, seen: list, fields: int):
+    """The integer fields and the neighbor tuple of one vertex line."""
+    row = line.split(":")
+    if len(row) != fields + 1:
+        raise FormatError("wrong number of ':' separators", lineno)
+    try:
+        nbrs = tuple(map(int, row.pop().split()))
+        row = [int(f) for f in row]
+    except ValueError:
+        raise FormatError(f"non-integer token in {line!r}", lineno) from None
+    if not 0 <= row[0] < n:
+        raise FormatError(f"vertex id {row[0]} out of range", lineno)
+    if seen[row[0]]:
+        raise FormatError(f"vertex {row[0]} defined twice", lineno)
+    seen[row[0]] = True
+    return row, nbrs
+
+
+def oracle_parse_tree(text: str):
+    """(weights, adjacency) tuples of a tree file, or the exception
+    (FormatError, NotATreeError, WeightError) a tree file earns."""
+    n, lines = _oracle_lines(text, "tree", 1)
+    if len(lines) != n:
+        raise FormatError(f"expected {n} vertex lines, found {len(lines)}")
     weights = [0] * n
     adjacency = [()] * n
     seen = [False] * n
-    for lineno, line in lines[1:]:
-        row = line.split(":")
-        if len(row) != 3:
-            raise FormatError("expected '<v>: <weight>: <neighbors>'", lineno)
-        try:
-            nbrs = tuple(map(int, row[2].split()))
-            v, w = int(row[0]), int(row[1])
-        except ValueError:
-            raise FormatError(f"non-integer token in {line!r}", lineno) from None
-        if not 0 <= v < n:
-            raise FormatError(f"vertex id {v} out of range", lineno)
-        if seen[v]:
-            raise FormatError(f"vertex {v} defined twice", lineno)
-        seen[v] = True
+    for lineno, line in lines:
+        (v, w), nbrs = _oracle_row(lineno, line, n, seen, 2)
         if w < 1:
             raise FormatError(f"vertex {v}: weight must be >= 1", lineno)
         weights[v] = w
         adjacency[v] = nbrs
     oracle_check_tree(weights, adjacency)
     return tuple(weights), tuple(adjacency)
+
+
+def oracle_parse_graph(text: str):
+    """(adjacency, hamilton order) tuples of a plane-graph file, or the
+    FormatError it earns; the embedding itself is not checked."""
+    n, lines = _oracle_lines(text, "graph", 3)
+    adjacency = [()] * n
+    seen = [False] * n
+    ham = None
+    for lineno, line in lines:
+        if line.startswith("hamilton:"):
+            if ham is not None:
+                raise FormatError("duplicate hamilton line", lineno)
+            try:
+                ham = tuple(int(tok) for tok in line[9:].split())
+            except ValueError:
+                raise FormatError("non-integer token in hamilton line", lineno) from None
+            continue
+        (v,), adjacency_v = _oracle_row(lineno, line, n, seen, 1)
+        adjacency[v] = adjacency_v
+    if not all(seen):
+        raise FormatError(f"no line for vertex {seen.index(False)}")
+    if ham is None:
+        raise FormatError("missing 'hamilton:' line")
+    return tuple(adjacency), ham
 
 
 def oracle_check_tree(weights, adjacency) -> None:

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treewindow import (
     CycleResult,
@@ -12,6 +13,7 @@ from treewindow import (
     NotHamiltonianError,
     PlaneGraph,
     PreconditionError,
+    TreeWindowError,
     build_dual_tree,
     cycle_search_guaranteed,
     find_cycle_near,
@@ -30,7 +32,7 @@ from treewindow.generators import (
     square_cycle,
     square_cycle_fanned,
 )
-from helpers import naive_cycle_lengths
+from helpers import FUZZ_TOKENS, naive_cycle_lengths, oracle_parse_graph
 
 
 def ring_graph(n: int) -> tuple[PlaneGraph, HamiltonCycle]:
@@ -413,3 +415,69 @@ class TestGraphFormat:
         text = serialize_graph(graph, HamiltonCycle((0, 2, 4, 1, 3, 5)))
         with pytest.raises(NotHamiltonianError):
             parse_graph(text)
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: parse_graph against the line-by-line graph reader
+# ---------------------------------------------------------------------------
+
+_FUZZ_GRAPHS = [serialize_graph(*make(n)) for make, n in (
+    (square_cycle, 6), (square_cycle, 8), (square_cycle_fanned, 8),
+    (small_face_ring, 12), (malkevitch, 1), (malkevitch, 2))]
+
+
+def _mutate_graph(data, lines: list[str]) -> list[str]:
+    """One random edit of a graph file's lines (header first)."""
+    i = data.draw(st.integers(1, len(lines) - 1), label="line")
+    tokens = lines[i].split(" ")
+    t = data.draw(st.integers(0, len(tokens) - 1), label="token")
+    kind = data.draw(st.sampled_from(
+        ["drop_line", "dup_line", "swap_lines", "drop_token", "dup_token",
+         "bad_token", "out_of_range", "comment", "spacing", "header"]), label="kind")
+    if kind == "drop_line":
+        del lines[i]
+    elif kind == "dup_line":
+        lines.insert(i, lines[i])
+    elif kind == "swap_lines":
+        j = data.draw(st.integers(1, len(lines) - 1), label="other")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "comment":
+        lines.insert(i, "# " + lines[i])
+        lines[i + 1] += " # note"
+    elif kind == "spacing":
+        gap = data.draw(st.sampled_from(["\t", "  ", "\xa0", "\x1f", "\x0b"]))
+        lines[i] = gap + lines[i].replace(" ", gap) + gap
+    elif kind == "header":
+        lines[0] = data.draw(st.sampled_from(["graph 2", "graph x", "tree 6", "graph 99"]))
+    else:
+        if kind == "drop_token":
+            del tokens[t]
+        elif kind == "dup_token":
+            tokens.insert(t, tokens[t])
+        else:
+            suffix = ":" if tokens[t].endswith(":") else ""
+            tokens[t] = (data.draw(st.sampled_from(FUZZ_TOKENS)) if kind == "bad_token"
+                         else str(data.draw(st.sampled_from([-1, 99, len(lines)])))) + suffix
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_graph_reader_matches_oracle(data):
+    lines = data.draw(st.sampled_from(_FUZZ_GRAPHS), label="graph").splitlines()
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        lines = _mutate_graph(data, lines)
+    text = "\n".join(lines) + "\n"
+    try:
+        adjacency, order = oracle_parse_graph(text)
+        HamiltonCycle(order).validate(PlaneGraph(adjacency))
+        expected = (adjacency, order)
+    except TreeWindowError as exc:
+        expected = type(exc)
+    try:
+        graph, ham = parse_graph(text)
+    except TreeWindowError as exc:
+        assert type(exc) is expected, (text, exc)
+        return
+    assert (graph.adjacency, ham.order) == expected, text

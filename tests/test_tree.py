@@ -20,7 +20,7 @@ from treewindow import (
     tight_instance,
 )
 from treewindow.generators import random_tree
-from helpers import naive_subtree_weights, oracle_parse_tree, oracle_walk
+from helpers import FUZZ_TOKENS, naive_subtree_weights, oracle_parse_tree, oracle_walk
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
 
@@ -228,10 +228,6 @@ class TestTightFamilies:
 # Differential fuzz: the array reader against the line-by-line oracle
 # ---------------------------------------------------------------------------
 
-_BAD_TOKENS = ("x", "1.5", "", "+", "-", "--1", "1-", "0x1", "1e3", "١", "1_0",
-               "+7", "-0", "007", " 3", "99999999999999999999", "3\x1f", "٣٣")
-
-
 def _mutate(data, lines: list[str]) -> list[str]:
     """One random edit of a tree file's lines (header first)."""
     n = len(lines) - 1
@@ -259,7 +255,7 @@ def _mutate(data, lines: list[str]) -> list[str]:
             tokens.insert(t, tokens[t])
         else:
             suffix = ":" if tokens[t].endswith(":") else ""
-            new = (data.draw(st.sampled_from(_BAD_TOKENS)) if kind == "bad_token"
+            new = (data.draw(st.sampled_from(FUZZ_TOKENS)) if kind == "bad_token"
                    else str(data.draw(st.sampled_from([-1, n, n + 1, -n]))))
             tokens[t] = new + suffix
         lines[i] = " ".join(tokens)
