@@ -379,9 +379,10 @@ def _oracle_cycle_lengths(graph) -> list[int]:
             f"{_ORACLE_GRAPH_LIMIT} vertices, got {graph.n_vertices}"
         )
     lengths: set[int] = set()
+    adjacency = graph.adjacency
 
     def walk(start: int, v: int, seen: set[int], depth: int) -> None:
-        for u in graph.adjacency[v]:
+        for u in adjacency[v]:
             if u == start and depth >= 3:
                 lengths.add(depth)
             elif u > start and u not in seen:

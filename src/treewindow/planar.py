@@ -1,19 +1,18 @@
 """Plane hamiltonian graphs: faces, hamilton splits, dual trees, cycles.
 
-A plane graph is given as a rotation system (ordered neighbor lists).  A
-hamilton cycle drawn in the plane separates the remaining edges into the
-two open regions; each region's faces form a tree under adjacency across
-chords.  Giving each face the weight (length - 2) makes subtree weights
-and primal cycle lengths interchangeable: the boundary of a connected set
-S of faces is a cycle of length exactly weight(S) + 2.  That turns
-"find a cycle of length near k" into "find a subtree of weight near k-2",
-which the window search answers in linear time.
+A plane graph is a rotation system (ordered neighbor lists), stored like a
+tree as int64 CSR arrays.  Building one walks every face once; the rest is
+read off that walk and the hamilton positions with whole-array operations.  A hamilton cycle drawn in the plane splits
+the other edges (chords) into two regions, and each region's faces form a
+tree under adjacency across chords.  With face weight length - 2, the
+boundary of a connected face set S is a cycle of length weight(S) + 2.
+That turns "find a cycle of length near k" into "find a subtree of weight
+near k-2", which the window search answers in linear time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,100 +23,129 @@ from .errors import (
     NotHamiltonianError,
     PreconditionError,
     StructureError,
+    TreeWindowError,
     WeightExceedsTargetError,
 )
 from .euler import find_subtree
 from .tree import (
     WeightedTree,
+    _Rotation,
     _csr,
     _csr_rows,
     _csr_tree,
+    _first_non_int,
     _marked_connected,
     _pair_darts,
     _read_header,
     _read_rows,
     _spans_subtree,
+    _successor,
+    _tails,
 )
 
 
 # ---------------------------------------------------------------------------
-# Plane graphs and face tracing
+# Plane graphs and their faces
 # ---------------------------------------------------------------------------
 
 
-def _trace(adjacency):
-    """Orbit decomposition of darts: next dart after arriving at v from u
-    is the rotation successor (at v) of the edge back to u.  Returns the
-    faces as vertex walks plus a map from each dart to its face index."""
-    position = {}
-    for u, nbrs in enumerate(adjacency):
-        for i, v in enumerate(nbrs):
-            position[(u, v)] = i
-    faces: list[tuple[int, ...]] = []
-    face_of: dict[tuple[int, int], int] = {}
-    for u0 in range(len(adjacency)):
-        for v0 in adjacency[u0]:
-            if (u0, v0) in face_of:
-                continue
-            walk = []
-            a, b = u0, v0
-            while (a, b) not in face_of:
-                face_of[(a, b)] = len(faces)
-                walk.append(a)
-                nbrs = adjacency[b]
-                a, b = b, nbrs[(position[(b, a)] + 1) % len(nbrs)]
-            faces.append(tuple(walk))
-    return tuple(faces), face_of
+class PlaneGraph(_Rotation):
+    """Plane graph as a rotation system in CSR form.
 
-
-@dataclass(frozen=True, eq=False)
-class PlaneGraph:
-    """Immutable plane graph as a rotation system.
-
-    Construction validates simplicity, symmetry, connectivity, and that
-    the traced embedding satisfies Euler's formula n - m + f = 2 (i.e. the
-    rotation system really describes a plane drawing).
+    offsets (n + 1 entries) and neighbors (2m dart heads) are read-only
+    int64 arrays: vertex v's neighbors in rotation order are
+    neighbors[offsets[v]:offsets[v + 1]]; n_edges is an int.
+    PlaneGraph(adjacency) takes neighbor rows; adjacency and faces are
+    tuple views built on each access.  Construction validates simplicity,
+    symmetry, connectivity, and Euler's formula n - m + f = 2 over the
+    traced faces (i.e. that the rotation system really is plane).
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
-    n_edges: int = field(init=False)
-    faces: tuple[tuple[int, ...], ...] = field(init=False)
+    __slots__ = ("n_edges", "_reverse", "_walk", "_face_offsets")
 
-    def __post_init__(self) -> None:
-        n = len(self.adjacency)
-        if n < 3:
-            raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
-        m = len(_pair_darts(*_csr(self.adjacency, EmbeddingError), EmbeddingError)) // 2
-        if not _marked_connected(self.adjacency, bytearray(b"\x01") * n):
-            raise EmbeddingError("graph is disconnected")
-
-        faces, _ = _trace(self.adjacency)
-        if n - m + len(faces) != 2:
-            raise EmbeddingError(
-                f"Euler check failed: n - m + f = {n} - {m} + {len(faces)} != 2; "
-                "the rotation system is not a plane embedding"
-            )
-        object.__setattr__(self, "n_edges", m)
-        object.__setattr__(self, "faces", faces)
+    def __init__(self, adjacency) -> None:
+        _plane_graph(*_csr(adjacency, EmbeddingError), self)
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.adjacency)
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The faces as vertex walks, ordered by and starting from their
+        smallest dart; built on each access."""
+        return _csr_rows(self._face_offsets, _tails(self.offsets)[self._walk])
 
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (v, u) if v < u else (u, v)
-            for v, nbrs in enumerate(self.adjacency)
-            for u in nbrs
-        )
+        tails = _tails(self.offsets)
+        up = tails < self.neighbors
+        return frozenset(zip(tails[up].tolist(), self.neighbors[up].tolist()))
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+
+class _Rows:
+    """The neighbor rows of CSR arrays, sliced on each index."""
+
+    def __init__(self, offsets, neighbors) -> None:
+        self.offsets, self.neighbors = offsets.tolist(), memoryview(neighbors)
+
+    def __getitem__(self, v):
+        return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
+
+
+def _plane_graph(offsets, neighbors, graph=None) -> PlaneGraph:
+    """Validate int64 CSR arrays as a plane graph and walk its faces; the
+    arrays and the walk go into graph, a new PlaneGraph unless given."""
+    graph = PlaneGraph.__new__(PlaneGraph) if graph is None else graph
+    n = len(offsets) - 1
+    if n < 3:
+        raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
+    reverse = _pair_darts(offsets, neighbors, EmbeddingError)
+    if not _marked_connected(_Rows(offsets, neighbors), bytearray(b"\x01") * n):
+        raise EmbeddingError("graph is disconnected")
+
+    # The faces are the successor orbits; walk each from its smallest dart,
+    # so they come in order of that dart.
+    successor = _successor(offsets, neighbors, reverse.copy())
+    walk = np.empty_like(successor)
+    succ, out, seen = memoryview(successor), memoryview(walk), bytearray(len(walk))
+    starts, i = [], 0
+    for first in range(len(walk)):
+        if not seen[first]:
+            starts.append(i)
+            d = first
+            while True:
+                seen[d] = 1
+                out[i] = d
+                i += 1
+                d = succ[d]
+                if d == first:
+                    break
+    del successor, succ, out, seen
+
+    m, f = len(neighbors) // 2, len(starts)
+    if n - m + f != 2:
+        raise EmbeddingError(
+            f"Euler check failed: n - m + f = {n} - {m} + {f} != 2; "
+            "the rotation system is not a plane embedding"
+        )
+    graph.n_edges = m
+    for name, array in (("offsets", offsets), ("neighbors", neighbors),
+                        ("_reverse", reverse), ("_walk", walk),
+                        ("_face_offsets", np.array(starts + [len(walk)], dtype=np.int64))):
+        array.flags.writeable = False
+        setattr(graph, name, array)
+    return graph
 
 
 # ---------------------------------------------------------------------------
 # Hamilton cycles and the two-sided split
 # ---------------------------------------------------------------------------
+
+
+def _cycle_darts(graph: PlaneGraph, seq: np.ndarray) -> np.ndarray:
+    """The darts v -> w of graph where w follows v in the cyclic vertex
+    sequence seq (a repeated v counts once), in dart order: len(seq) of
+    them exactly when the vertices are distinct and each consecutive pair
+    is an edge."""
+    following = np.full(graph.n_vertices, -1, dtype=np.int64)
+    following[seq] = np.roll(seq, -1)
+    return np.flatnonzero(graph.neighbors == following[_tails(graph.offsets)])
 
 
 @dataclass(frozen=True)
@@ -127,28 +155,26 @@ class HamiltonCycle:
     order: tuple[int, ...]
 
     def validate(self, graph: PlaneGraph) -> None:
-        n = graph.n_vertices
-        if sorted(self.order) != list(range(n)):
-            raise NotHamiltonianError(
-                "cycle must list every vertex exactly once"
-            )
-        for i, v in enumerate(self.order):
-            u = self.order[(i + 1) % n]
-            if u not in graph.adjacency[v]:
-                raise NotHamiltonianError(f"consecutive pair ({v}, {u}) is not an edge")
+        _hamilton_darts(graph, self.order)
 
     def positions(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        n = len(self.order)
-        return frozenset(
-            _norm(self.order[i], self.order[(i + 1) % n]) for i in range(n)
-        )
 
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _hamilton_darts(graph: PlaneGraph, order) -> tuple[np.ndarray, np.ndarray]:
+    """order as an array and the dart from each vertex to its successor on
+    the cycle, in vertex order; raises NotHamiltonianError unless order is
+    a hamilton cycle of graph."""
+    n = graph.n_vertices
+    seq = None if _first_non_int(order, 0, n) is not None else np.array(order, dtype=np.int64)
+    if seq is None or len(seq) != n or np.count_nonzero(np.bincount(seq, minlength=n)) != n:
+        raise NotHamiltonianError("cycle must list every vertex exactly once")
+    darts = _cycle_darts(graph, seq)
+    if len(darts) != n:  # the first vertex of the cycle without its dart
+        i = int(np.argmin(np.isin(seq, np.searchsorted(graph.offsets, darts, "right") - 1)))
+        raise NotHamiltonianError(
+            f"consecutive pair ({order[i]}, {order[(i + 1) % n]}) is not an edge")
+    return seq, darts
 
 
 @dataclass(frozen=True)
@@ -163,63 +189,50 @@ class Split:
     exterior: tuple[tuple[int, int], ...]
 
 
+def _sides(graph: PlaneGraph, ham: HamiltonCycle):
+    """Validate ham and read the regions off the rotation, which at each
+    vertex runs cycle successor, region A's chords, cycle predecessor,
+    region B's chords.  Returns the order as an array, per dart whether it
+    is a chord and whether the angle after it lies in A (the face of dart
+    d lies in the region of the angle after reverse(d)), and whether A is
+    the interior."""
+    seq, following = _hamilton_darts(graph, ham.order)
+    reverse, offsets = graph._reverse, graph.offsets
+    preceding = np.empty_like(following)
+    preceding[graph.neighbors[following]] = reverse[following]
+    tails, degrees = _tails(offsets), np.diff(offsets)
+    turn = (np.arange(len(tails)) - following[tails]) % degrees[tails]
+    span = ((preceding - following) % degrees)[tails]
+    in_a = turn < span
+    chord = (turn != 0) & (turn != span)
+    # A plane embedding of this cycle puts every chord on one side.
+    clash = np.flatnonzero(chord & (in_a != in_a[reverse]))
+    if len(clash):
+        pair = sorted((int(tails[clash[0]]), int(graph.neighbors[clash[0]])))
+        raise EmbeddingError(
+            f"chord {tuple(pair)} lies on different sides at its endpoints; "
+            "not a plane embedding of this hamilton cycle"
+        )
+    a_chords = np.count_nonzero(chord & in_a)
+    b_chords = np.count_nonzero(chord) - a_chords
+    a_inside = a_chords > b_chords or a_chords == b_chords and (
+        not b_chords or bool(in_a[np.argmax(chord)]))  # the first chord's side
+    return seq, chord, in_a, a_inside
+
+
 def split_by_hamilton(graph: PlaneGraph, ham: HamiltonCycle) -> Split:
-    """Partition the chords into the two regions of the hamilton cycle.
+    """Partition the chords into the two regions of the hamilton cycle."""
+    _, chord, in_a, a_inside = _sides(graph, ham)
+    tails, n = _tails(graph.offsets), graph.n_vertices
+    keys = tails * n + graph.neighbors
+    chord &= tails < graph.neighbors  # each chord once, from its smaller end
 
-    The side of a chord at a vertex u is read off the rotation: chords
-    between the cycle-successor edge and the cycle-predecessor edge (going
-    in rotation order) lie in one region, the rest in the other.  A plane
-    embedding gives every chord the same side at both endpoints; a
-    mismatch means the input was not a plane embedding of this cycle.
-    """
-    ham.validate(graph)
-    n = graph.n_vertices
-    order = ham.order
-    nxt = {order[i]: order[(i + 1) % n] for i in range(n)}
-    prv = {order[i]: order[(i - 1) % n] for i in range(n)}
+    def pairs(mask):
+        a, b = np.divmod(np.sort(keys[mask]), n)
+        return tuple(zip(a.tolist(), b.tolist()))
 
-    side_at: dict[tuple[int, int], bool] = {}  # chord -> True if side A
-    for u in range(n):
-        rot = graph.adjacency[u]
-        d = len(rot)
-        i_next = rot.index(nxt[u])
-        i_prev = rot.index(prv[u])
-        i = (i_next + 1) % d
-        in_side_a = True
-        while i != i_next:
-            w = rot[i]
-            if i == i_prev:
-                in_side_a = False
-            elif w != nxt[u] and w != prv[u]:
-                chord = _norm(u, w)
-                prev_side = side_at.get(chord)
-                if prev_side is None:
-                    side_at[chord] = in_side_a
-                elif prev_side != in_side_a:
-                    raise EmbeddingError(
-                        f"chord {chord} lies on different sides at its endpoints; "
-                        "not a plane embedding of this hamilton cycle"
-                    )
-            i = (i + 1) % d
-
-    first_chord: tuple[int, int] | None = None  # for the tie rule
-    for u in range(n):
-        for w in graph.adjacency[u]:
-            if w != nxt[u] and w != prv[u]:
-                first_chord = _norm(u, w)
-                break
-        if first_chord is not None:
-            break
-
-    side_a = tuple(sorted(c for c, a in side_at.items() if a))
-    side_b = tuple(sorted(c for c, a in side_at.items() if not a))
-    if len(side_a) > len(side_b):
-        return Split(side_a, side_b)
-    if len(side_b) > len(side_a):
-        return Split(side_b, side_a)
-    if first_chord is not None and not side_at[first_chord]:
-        return Split(side_b, side_a)
-    return Split(side_a, side_b)
+    side_a, side_b = pairs(chord & in_a), pairs(chord & ~in_a)
+    return Split(side_a, side_b) if a_inside else Split(side_b, side_a)
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +244,35 @@ def split_by_hamilton(graph: PlaneGraph, ham: HamiltonCycle) -> Split:
 class DualTree:
     """The faces of one region of the hamilton cycle, as a weighted tree.
 
-    Dual vertex i is the face with walk faces[i]; its weight is the face
-    length minus 2.  Two faces are adjacent when they share a chord;
-    chord_of maps each dual edge (as a sorted pair) back to that chord.
+    Dual vertex i is the face whose vertex walk is
+    face_vertices[face_offsets[i]:face_offsets[i + 1]]; its weight is the
+    face length minus 2.  Two faces are adjacent when they share a chord:
+    chords[d] holds the ends of the chord that dual dart d (an index of
+    tree.neighbors) crosses.  hamilton is the cycle's vertex order.  All
+    four are read-only int64 arrays; faces and chord_of are views of them.
     """
 
     tree: WeightedTree
-    faces: tuple[tuple[int, ...], ...]
     side: str
-    chord_of: dict[tuple[int, int], tuple[int, int]]
     primal_n: int
+    face_offsets: np.ndarray
+    face_vertices: np.ndarray
+    chords: np.ndarray
+    hamilton: np.ndarray
 
-    def face_edges(self, i: int) -> tuple[tuple[int, int], ...]:
-        walk = self.faces[i]
-        return tuple(
-            _norm(walk[j], walk[(j + 1) % len(walk)]) for j in range(len(walk))
-        )
+    @property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The face walks, built on each access."""
+        return _csr_rows(self.face_offsets, self.face_vertices)
+
+    @property
+    def chord_of(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each dual edge, as a sorted pair, to the chord it crosses, also
+        sorted; built on each access."""
+        tails, heads = _tails(self.tree.offsets), self.tree.neighbors
+        up = tails < heads
+        return dict(zip(zip(tails[up].tolist(), heads[up].tolist()),
+                        map(tuple, np.sort(self.chords[up], axis=1).tolist())))
 
 
 def build_dual_tree(
@@ -254,67 +280,48 @@ def build_dual_tree(
 ) -> DualTree:
     """Build the face tree of one region (side "interior" or "exterior").
 
-    The subgraph of cycle edges plus that region's chords is traced; the
-    face bounded by the cycle alone (the whole opposite region) is dropped
-    and the remaining faces become the tree.  Asserts the text-book facts:
-    the result is a tree and its weights sum to n - 2.
+    The region's faces, in the graph's face order, become the dual
+    vertices; each face's chord darts, in walk order, give its dual
+    neighbors.  Checks the text-book facts: the result is a tree and its
+    weights sum to n - 2.
     """
     if side not in ("interior", "exterior"):
         raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
-    split = split_by_hamilton(graph, ham)
-    chords = set(split.interior if side == "interior" else split.exterior)
-    ham_edges = ham.edge_set()
+    return _dual_tree(graph, _sides(graph, ham), side)
+
+
+def _dual_tree(graph: PlaneGraph, sides, side: str) -> DualTree:
+    seq, chord, in_a, a_inside = sides
     n = graph.n_vertices
+    walk, reverse, bounds = graph._walk, graph._reverse, graph._face_offsets
+    lengths = np.diff(bounds)
+    # A face lies in the region of the angle after the reverse of its darts.
+    in_region = in_a[reverse[walk[bounds[:-1]]]] == (a_inside == (side == "interior"))
+    ids = np.flatnonzero(in_region)
+    on_region = np.repeat(in_region, lengths)  # per position of the walk
+    dual_of = np.empty_like(walk)  # per dart, the dual vertex of its face
+    dual_of[walk] = np.repeat(np.cumsum(in_region) - 1, lengths)
 
-    keep = ham_edges | chords
-    sub_adjacency = tuple(
-        tuple(w for w in graph.adjacency[u] if _norm(u, w) in keep)
-        for u in range(n)
-    )
-    faces, face_of = _trace(sub_adjacency)
-    m_sub = n + len(chords)
-    if n - m_sub + len(faces) != 2:
-        raise EmbeddingError(
-            f"{side} subgraph fails the Euler check; chords are not one-sided"
-        )
-
-    anti = None
-    for idx, walk in enumerate(faces):
-        if len(walk) == n and all(
-            _norm(walk[j], walk[(j + 1) % n]) in ham_edges for j in range(n)
-        ):
-            anti = idx
-            break
-    if anti is None:
-        raise StructureError("no face bounded by the hamilton cycle alone")
-
-    ids = [idx for idx in range(len(faces)) if idx != anti]
-    renumber = {old: new for new, old in enumerate(ids)}
-    side_faces = tuple(faces[old] for old in ids)
-
-    adjacency: list[list[int]] = [[] for _ in ids]
-    chord_of: dict[tuple[int, int], tuple[int, int]] = {}
-    for old in ids:
-        walk = faces[old]
-        fid = renumber[old]
-        for j, a in enumerate(walk):
-            b = walk[(j + 1) % len(walk)]
-            if _norm(a, b) in chords:
-                other = face_of[(b, a)]
-                adjacency[fid].append(renumber[other])
-                chord_of[_norm(fid, renumber[other])] = _norm(a, b)
-
+    darts = walk[on_region & chord[walk]]  # the region's chord darts, walk order
+    tails, heads = dual_of[darts], dual_of[reverse[darts]]
     try:
-        weights = np.array([len(walk) - 2 for walk in side_faces], dtype=np.int64)
-        tree = _csr_tree(weights, *_csr(adjacency, StructureError))
-    except Exception as exc:
+        tree = _csr_tree(lengths[ids] - 2,
+                         np.r_[0, np.cumsum(np.bincount(tails, minlength=len(ids)))], heads)
+    except TreeWindowError as exc:
         raise StructureError(f"face adjacency of the {side} region is not a tree: {exc}")
     if tree.total_weight != n - 2:
         raise StructureError(
             f"face weights sum to {tree.total_weight}, expected n - 2 = {n - 2}"
         )
-    return DualTree(tree=tree, faces=side_faces, side=side,
-                    chord_of=chord_of, primal_n=n)
+
+    primal_tails = _tails(graph.offsets)
+    face_offsets = np.r_[0, np.cumsum(lengths[ids])]
+    face_vertices = primal_tails[walk[on_region]]
+    chords = np.c_[primal_tails[darts], graph.neighbors[darts]]
+    for array in (face_offsets, face_vertices, chords, seq):
+        array.flags.writeable = False
+    return DualTree(tree=tree, side=side, primal_n=n, face_offsets=face_offsets,
+                    face_vertices=face_vertices, chords=chords, hamilton=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -336,63 +343,46 @@ class CycleResult:
 def subtree_to_cycle(dual: DualTree, vertices) -> CycleResult:
     """Boundary cycle of a connected set of dual faces.
 
-    Edges lying on exactly one chosen face form the boundary; for a
-    connected face set they form a single cycle of length exactly
-    (total weight of the chosen faces) + 2.
+    The region is a dissection of the hamilton polygon, so the boundary of
+    a connected face set runs through the set's vertices in hamilton
+    order; its length is exactly (total weight of the chosen faces) + 2.
+    The cycle starts at its smallest vertex and runs toward the smaller of
+    that vertex's two neighbors on it.
     """
-    chosen = sorted(set(vertices))
+    chosen = list(vertices)
     if not chosen:
         raise ValueError("need at least one dual vertex")
-    if any(not 0 <= v < dual.tree.n_vertices for v in chosen):
-        raise ValueError("dual vertex id out of range")
-    if not _spans_subtree(dual.tree, np.array(chosen, dtype=np.int64)):
+    bad = _first_non_int(chosen, 0, dual.tree.n_vertices)
+    if bad is not None:
+        raise ValueError(f"dual vertex {chosen[bad]!r} is not an id in range")
+    picked = np.unique(np.array(chosen, dtype=np.int64))
+    if not _spans_subtree(dual.tree, picked):
         raise ValueError("dual vertices do not induce a connected subtree")
 
-    edge_use = Counter()
-    for fid in chosen:
-        for e in dual.face_edges(fid):
-            edge_use[e] += 1
-    boundary = [e for e, cnt in edge_use.items() if cnt == 1]
-    if any(cnt > 2 for cnt in edge_use.values()):
-        raise StructureError("an edge borders more than two chosen faces")
-
-    neighbors: dict[int, list[int]] = {}
-    for a, b in boundary:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    if any(len(nb) != 2 for nb in neighbors.values()):
-        raise StructureError("boundary is not a disjoint union of cycles")
-
-    start = min(neighbors)
-    walk = [start, min(neighbors[start])]
-    while walk[-1] != start:
-        prev, here = walk[-2], walk[-1]
-        a, b = neighbors[here]
-        walk.append(b if a == prev else a)
-    walk.pop()
-    if len(walk) != len(boundary):
-        raise StructureError("boundary is not a single cycle")
-
-    expected = int(dual.tree.weights[chosen].sum()) + 2
-    if len(walk) != expected:
+    on_picked = np.zeros(dual.tree.n_vertices, dtype=bool)
+    on_picked[picked] = True
+    inside = np.zeros(dual.primal_n, dtype=bool)
+    inside[dual.face_vertices[np.repeat(on_picked, np.diff(dual.face_offsets))]] = True
+    ring = dual.hamilton[inside[dual.hamilton]]
+    expected = int(dual.tree.weights[picked].sum()) + 2
+    if len(ring) != expected:
         raise StructureError(
-            f"boundary length {len(walk)} != subtree weight + 2 = {expected}"
+            f"boundary length {len(ring)} != subtree weight + 2 = {expected}"
         )
+    walk = np.roll(ring, -int(np.argmin(ring))).tolist()
+    if walk[-1] < walk[1]:
+        walk[1:] = walk[:0:-1]
     return CycleResult(tuple(walk))
 
 
 def verify_cycle(graph: PlaneGraph, cycle: CycleResult) -> bool:
-    """Independent validation: distinct vertices, length >= 3, each
-    consecutive pair (cyclically) an edge of the graph."""
+    """Independent validation: length >= 3, and each vertex id, in cyclic
+    order, has a dart to the next; a repeated vertex gets at most one dart,
+    so that also proves the vertices distinct."""
     seq = cycle.vertices
-    if len(seq) < 3 or len(set(seq)) != len(seq):
+    if len(seq) < 3 or _first_non_int(seq, 0, graph.n_vertices) is not None:
         return False
-    if any(not 0 <= v < graph.n_vertices for v in seq):
-        return False
-    return all(
-        seq[(i + 1) % len(seq)] in graph.adjacency[seq[i]]
-        for i in range(len(seq))
-    )
+    return len(_cycle_darts(graph, np.array(seq, dtype=np.int64))) == len(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +496,17 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
         raise PreconditionError(f"need n >= 8, got {n}")
     if n % 2:
         raise PreconditionError(f"need even n, got {n}")
-    if min(graph.degree(v) for v in range(n)) < 4:
+    if np.diff(graph.offsets).min() < 4:
         raise PreconditionError("need minimum degree >= 4")
+    sides = _sides(graph, ham)
     if not is_three_connected(graph):
         raise PreconditionError("graph is not 3-connected")
-    ham.validate(graph)
 
     target = n // 2 - 3
     cap = n // 2 - 3  # face length < n/2 means dual weight <= n/2 - 3
 
-    interior = build_dual_tree(graph, ham, "interior")
-    interior_edges = n + len(interior.chord_of)  # one dual edge per chord
+    interior = _dual_tree(graph, sides, "interior")
+    interior_edges = n + interior.tree.n_vertices - 1  # one dual edge per chord
 
     if interior_edges > 3 * n // 2:
         return _guaranteed_cycle(interior, target, 1, "dense interior")
@@ -527,23 +517,21 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     # Both regions now have exactly 3n/2 edges (edge counts are tied), so
     # the interior/exterior naming was an arbitrary tie-break; the same
     # small-face argument may apply to the other region.
-    exterior = build_dual_tree(graph, ham, "exterior")
+    exterior = _dual_tree(graph, sides, "exterior")
     if exterior.tree.max_weight <= cap:
         return _guaranteed_cycle(exterior, target, 2, "small exterior faces")
 
     # Both regions contain a face of length n/2: the only graph consistent
     # with that is the square of a cycle.  Verify via the hamilton
     # labeling and construct the cycle directly.
-    positions = ham.positions()
-    for v in range(n):
-        expect = {
-            (positions[v] + off) % n for off in (-2, -1, 1, 2)
-        }
-        if {positions[u] for u in graph.adjacency[v]} != expect:
-            raise StructureError(
-                "both regions have a half-length face, yet the graph is not "
-                "the square of a cycle; input contradicts the theory"
-            )
+    position = np.empty(n, dtype=np.int64)
+    position[sides[0]] = np.arange(n)
+    hops = (position[graph.neighbors] - position[_tails(graph.offsets)]) % n
+    if graph.n_edges != 2 * n or not np.isin(hops, (1, 2, n - 2, n - 1)).all():
+        raise StructureError(
+            "both regions have a half-length face, yet the graph is not "
+            "the square of a cycle; input contradicts the theory"
+        )
     walk = [ham.order[p] for p in _square_cycle_positions(n // 2 - 1)]
     cycle = CycleResult(tuple(walk))
     if not verify_cycle(graph, cycle):
@@ -572,13 +560,13 @@ def parse_graph(text: str) -> tuple[PlaneGraph, HamiltonCycle]:
     n, lineno, text, start = _read_header(text, "graph", 3)
     lines = text[start:].split("\n")
     ham: HamiltonCycle | None = None
-    for i, line in enumerate(lines):
-        line = line.strip()
+    for i in [i for i, line in enumerate(lines) if "hamilton:" in line]:
+        line = lines[i].strip()
         if line.startswith("hamilton:"):
             if ham is not None:
                 raise FormatError("duplicate hamilton line", lineno + 1 + i)
             try:
-                ham = HamiltonCycle(tuple(int(tok) for tok in line[9:].split()))
+                ham = HamiltonCycle(tuple(map(int, line[9:].split())))
             except ValueError:
                 raise FormatError("non-integer token in hamilton line",
                                   lineno + 1 + i) from None
@@ -587,15 +575,14 @@ def parse_graph(text: str) -> tuple[PlaneGraph, HamiltonCycle]:
                                        "<v>: <neighbors>")
     if ham is None:
         raise FormatError("missing 'hamilton:' line")
-    graph = PlaneGraph(_csr_rows(offsets, neighbors))
+    graph = _plane_graph(offsets, neighbors)
     ham.validate(graph)
     return graph, ham
 
 
 def serialize_graph(graph: PlaneGraph, ham: HamiltonCycle) -> str:
     out = [f"graph {graph.n_vertices}"]
-    for v in range(graph.n_vertices):
-        nbrs = " ".join(str(u) for u in graph.adjacency[v])
-        out.append(f"{v}: {nbrs}")
+    for v, row in enumerate(graph.adjacency):
+        out.append(f"{v}: {' '.join(map(str, row))}")
     out.append("hamilton: " + " ".join(str(v) for v in ham.order))
     return "\n".join(out) + "\n"

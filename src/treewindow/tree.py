@@ -39,6 +39,9 @@ def _first_non_int(values, lo, hi) -> int | None:
     integers; bool, numpy bool and float do not."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         bad = np.flatnonzero((values < lo) | (values >= hi))
+    elif set(map(type, values)) <= {int} and (
+            not len(values) or lo <= min(values) and max(values) < hi):
+        return None
     else:
         bad = [i for i, x in enumerate(values)
                if isinstance(x, bool) or not isinstance(x, (int, np.integer))
@@ -55,7 +58,27 @@ def _weight_array(weights) -> np.ndarray:
     return np.array(weights, dtype=np.int64)
 
 
-class WeightedTree:
+class _Rotation:
+    """A rotation system in CSR form: read-only int64 offsets (n + 1
+    entries) and neighbors (one head per dart), vertex v's neighbors in
+    rotation order being neighbors[offsets[v]:offsets[v + 1]]."""
+
+    __slots__ = ("offsets", "neighbors")
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbor tuples in rotation order, built on each access."""
+        return _csr_rows(self.offsets, self.neighbors)
+
+    def degree(self, v: int) -> int:
+        return int(self.offsets[v + 1] - self.offsets[v])
+
+
+class WeightedTree(_Rotation):
     """Vertex-weighted tree in CSR form.
 
     weights (each >= 1), offsets (n + 1 entries) and neighbors (2(n - 1)
@@ -67,8 +90,7 @@ class WeightedTree:
     keeps that walk for euler.build_euler_cycle.
     """
 
-    __slots__ = ("weights", "offsets", "neighbors", "total_weight",
-                 "max_weight", "_stops", "_turns")
+    __slots__ = ("weights", "total_weight", "max_weight", "_stops", "_turns")
 
     def __init__(self, weights, adjacency) -> None:
         weights = _weight_array(weights)
@@ -76,18 +98,6 @@ class WeightedTree:
         if len(adjacency) != n:
             raise NotATreeError(f"{n} weights but {len(adjacency)} adjacency rows")
         _csr_tree(weights, *_csr(adjacency, NotATreeError), self)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.weights)
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex neighbor tuples in rotation order, built on each access."""
-        return _csr_rows(self.offsets, self.neighbors)
-
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedTree):
@@ -131,26 +141,23 @@ def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
     if total >= MAX_TOTAL_WEIGHT:
         raise WeightError(f"total weight {total} exceeds 2**62")
 
-    successor = _pair_darts(offsets, neighbors, NotATreeError) + 1
+    successor = _successor(offsets, neighbors,
+                           _pair_darts(offsets, neighbors, NotATreeError))
     if len(neighbors) != 2 * (n - 1):
         raise NotATreeError(
             f"{len(neighbors) // 2} edges for {n} vertices; a tree has {n - 1}")
-    # The walk leaves each vertex along the rotation successor of the edge
-    # it arrived by: after dart d comes the dart following reverse(d) in
-    # its vertex's block.  With n - 1 edges and no isolated vertex, the
-    # graph is a tree iff the orbit of dart 0 covers every dart.
-    wrap = successor == offsets[neighbors + 1]
-    successor[wrap] = offsets[neighbors[wrap]]
+    # The walk is the orbit of dart 0 under successor.  With n - 1 edges
+    # and no isolated vertex, the graph is a tree iff it covers every dart.
     tour = np.empty_like(successor)
     out, succ, d = memoryview(tour), memoryview(successor), 0
     for i in range(len(tour)):
         out[i] = d
         d = succ[d]
-    del successor, wrap, out, succ
+    del successor, out, succ
     degrees = np.diff(offsets)
     if np.count_nonzero(tour == 0) > 1 or n > 1 and not degrees.all():
         raise NotATreeError("adjacency is disconnected")
-    stops = np.repeat(np.arange(n, dtype=np.int64), degrees)[tour]
+    stops = _tails(offsets)[tour]
     tour -= offsets[stops]
 
     tree.total_weight, tree.max_weight = total, heaviest
@@ -159,6 +166,21 @@ def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
         array.flags.writeable = False
         setattr(tree, name, array)
     return tree
+
+
+def _tails(offsets) -> np.ndarray:
+    """The vertex each dart leaves from."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def _successor(offsets, neighbors, reverse) -> np.ndarray:
+    """The face-walk successor of each dart d, the dart after reverse(d) in
+    its vertex's rotation; its orbits are the faces (a tree has one, its
+    closed walk).  Overwrites reverse with the result."""
+    reverse += 1
+    wrap = reverse == offsets[neighbors + 1]
+    reverse[wrap] = offsets[neighbors[wrap]]
+    return reverse
 
 
 def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
@@ -171,7 +193,7 @@ def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
     an edge share a key, so a valid graph sorts into pairs of equal keys
     with different tails."""
     n = len(offsets) - 1
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    tails = _tails(offsets)
     bad = np.flatnonzero((neighbors < 0) | (neighbors >= n) | (neighbors == tails))
     if bad.size:
         v, u = int(tails[bad[0]]), int(neighbors[bad[0]])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from treewindow import FormatError, NotATreeError, WeightError, WeightedTree
+from treewindow import EmbeddingError, FormatError, NotATreeError, WeightError, WeightedTree
 
 
 def naive_subtree_weights(tree: WeightedTree) -> set[int]:
@@ -200,3 +200,171 @@ def oracle_walk(adjacency) -> list[tuple[int, int]]:
         u = adjacency[v][r]
         v, r = u, (adjacency[u].index(v) + 1) % len(adjacency[u])
     return stops
+
+
+# ---------------------------------------------------------------------------
+# The tuple-based face tracer, hamilton split, dual tree and boundary walk,
+# as references for the dart arrays of treewindow.planar.
+# ---------------------------------------------------------------------------
+
+
+def oracle_trace(adjacency):
+    """Faces as vertex walks plus a map from each dart (u, v) to its face:
+    after arriving at v from u, a walk leaves along the rotation successor
+    (at v) of the edge back to u.  Faces come in order of their first dart
+    in row order, each walked from that dart."""
+    position = {}
+    for u, nbrs in enumerate(adjacency):
+        for i, v in enumerate(nbrs):
+            position[(u, v)] = i
+    faces = []
+    face_of = {}
+    for u0 in range(len(adjacency)):
+        for v0 in adjacency[u0]:
+            if (u0, v0) in face_of:
+                continue
+            walk = []
+            a, b = u0, v0
+            while (a, b) not in face_of:
+                face_of[(a, b)] = len(faces)
+                walk.append(a)
+                nbrs = adjacency[b]
+                a, b = b, nbrs[(position[(b, a)] + 1) % len(nbrs)]
+            faces.append(tuple(walk))
+    return tuple(faces), face_of
+
+
+def _norm(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def oracle_split(adjacency, order):
+    """(interior, exterior) sorted chord tuples: at each vertex, chords
+    between the cycle successor and predecessor in rotation order lie on
+    side A, the rest on side B.  The side with more chords is the interior;
+    on a tie, the side of the first chord in row order."""
+    n = len(order)
+    nxt = {order[i]: order[(i + 1) % n] for i in range(n)}
+    prv = {order[i]: order[(i - 1) % n] for i in range(n)}
+    side_at = {}  # chord -> True if side A
+    for u, rot in enumerate(adjacency):
+        d = len(rot)
+        i_next, i_prev = rot.index(nxt[u]), rot.index(prv[u])
+        i = (i_next + 1) % d
+        in_side_a = True
+        while i != i_next:
+            if i == i_prev:
+                in_side_a = False
+            else:
+                chord = _norm(u, rot[i])
+                if side_at.setdefault(chord, in_side_a) != in_side_a:
+                    raise EmbeddingError(f"chord {chord} lies on different sides")
+            i = (i + 1) % d
+    first = next((_norm(u, w) for u, rot in enumerate(adjacency) for w in rot
+                  if w not in (nxt[u], prv[u])), None)
+    side_a = tuple(sorted(c for c, a in side_at.items() if a))
+    side_b = tuple(sorted(c for c, a in side_at.items() if not a))
+    if len(side_a) != len(side_b):
+        return (side_a, side_b) if len(side_a) > len(side_b) else (side_b, side_a)
+    return (side_b, side_a) if first is not None and not side_at[first] else (side_a, side_b)
+
+
+def oracle_dual(adjacency, order, side):
+    """(faces, dual rows, weights, chord_of) of one region: the subgraph
+    of cycle edges and that region's chords is traced, and its face bounded
+    by the cycle alone (the other region) is dropped."""
+    interior, exterior = oracle_split(adjacency, order)
+    chords = set(interior if side == "interior" else exterior)
+    n = len(order)
+    ham_edges = {_norm(order[i], order[(i + 1) % n]) for i in range(n)}
+    keep = ham_edges | chords
+    sub = tuple(tuple(w for w in adjacency[u] if _norm(u, w) in keep) for u in range(n))
+    faces, face_of = oracle_trace(sub)
+    anti = next(i for i, walk in enumerate(faces) if len(walk) == n and all(
+        _norm(walk[j], walk[(j + 1) % n]) in ham_edges for j in range(n)))
+    ids = [i for i in range(len(faces)) if i != anti]
+    renumber = {old: new for new, old in enumerate(ids)}
+    rows = [[] for _ in ids]
+    chord_of = {}
+    for old in ids:
+        walk = faces[old]
+        for j, a in enumerate(walk):
+            b = walk[(j + 1) % len(walk)]
+            if _norm(a, b) in chords:
+                other = renumber[face_of[(b, a)]]
+                rows[renumber[old]].append(other)
+                chord_of[_norm(renumber[old], other)] = _norm(a, b)
+    side_faces = tuple(faces[old] for old in ids)
+    return (side_faces, tuple(map(tuple, rows)),
+            [len(walk) - 2 for walk in side_faces], chord_of)
+
+
+def oracle_boundary(faces, chosen):
+    """The cycle of edges on exactly one chosen face, from its smallest
+    vertex toward the smaller neighbor, or None if those edges do not form
+    one cycle."""
+    use = Counter()
+    for f in set(chosen):
+        walk = faces[f]
+        use.update(_norm(walk[j - 1], walk[j]) for j in range(len(walk)))
+    neighbors = {}
+    for (a, b), count in use.items():
+        if count == 1:
+            neighbors.setdefault(a, []).append(b)
+            neighbors.setdefault(b, []).append(a)
+    if any(len(nb) != 2 for nb in neighbors.values()):
+        return None
+    start = min(neighbors)
+    walk = [start, min(neighbors[start])]
+    while walk[-1] != start:
+        a, b = neighbors[walk[-1]]
+        walk.append(b if a == walk[-2] else a)
+    walk.pop()
+    return tuple(walk) if len(walk) == len(neighbors) else None
+
+
+def oracle_verify_cycle(adjacency, seq) -> bool:
+    """Whether seq lists >= 3 distinct vertex ids, each (cyclically) adjacent
+    to the next."""
+    n = len(adjacency)
+    if len(seq) < 3 or len(set(seq)) != len(seq):
+        return False
+    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n for v in seq):
+        return False
+    return all(seq[i - 1] in adjacency[seq[i]] for i in range(len(seq)))
+
+
+def _noncrossing_chords(rng, n, taken):
+    """A random set of pairwise non-crossing chords of the convex n-gon
+    0..n-1, none of them in taken."""
+    chords = []
+    for _ in range(rng.randrange(2 * n)):
+        a, b = sorted(rng.sample(range(n), 2))
+        if b - a in (1, n - 1) or (a, b) in taken or any(
+                a < c < b < d or c < a < d < b for c, d in chords):
+            continue
+        taken.add((a, b))
+        chords.append((a, b))
+    return chords
+
+
+def random_plane_hamiltonian(rng, n):
+    """(rows, hamilton order) of a random plane hamiltonian graph: random
+    non-crossing chords inside and outside a convex n-gon, then a random
+    relabelling, mirror image and rotation of each row, and a random start
+    and direction of the cycle."""
+    from treewindow.generators import convex_embedding
+
+    taken = set()
+    inside = _noncrossing_chords(rng, n, taken)
+    graph, _ = convex_embedding(n, inside, _noncrossing_chords(rng, n, taken))
+    label = rng.sample(range(n), n)
+    mirror = rng.random() < 0.5
+    rows = [()] * n
+    for v, row in enumerate(graph.adjacency):
+        row = row[::-1] if mirror else row
+        turn = rng.randrange(len(row))
+        rows[label[v]] = tuple(label[u] for u in row[turn:] + row[:turn])
+    start = rng.randrange(n)
+    order = label[start:] + label[:start]
+    return tuple(rows), tuple(order[::-1] if rng.random() < 0.5 else order)

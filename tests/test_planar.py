@@ -1,7 +1,9 @@
 """Plane graphs, hamilton splits, dual trees, and the cycle searches."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from treewindow import (
     cycle_search_guaranteed,
     find_cycle_near,
     find_half_cycle_3conn,
+    find_subtree,
     is_three_connected,
     parse_graph,
     serialize_graph,
@@ -32,7 +35,17 @@ from treewindow.generators import (
     square_cycle,
     square_cycle_fanned,
 )
-from helpers import FUZZ_TOKENS, naive_cycle_lengths, oracle_parse_graph
+from helpers import (
+    FUZZ_TOKENS,
+    naive_cycle_lengths,
+    oracle_boundary,
+    oracle_dual,
+    oracle_parse_graph,
+    oracle_split,
+    oracle_trace,
+    oracle_verify_cycle,
+    random_plane_hamiltonian,
+)
 
 
 def ring_graph(n: int) -> tuple[PlaneGraph, HamiltonCycle]:
@@ -108,7 +121,6 @@ class TestHamiltonCycle:
     def test_positions_and_edges(self):
         ham = HamiltonCycle((2, 0, 1))
         assert ham.positions() == {2: 0, 0: 1, 1: 2}
-        assert ham.edge_set() == {(0, 2), (0, 1), (1, 2)}
 
 
 class TestSplit:
@@ -363,6 +375,11 @@ class TestFindHalfCycle:
         assert cycle.length in (7, 8)
         assert verify_cycle(graph, cycle)
 
+    def test_hamilton_checked_before_connectivity(self):
+        graph, _ = malkevitch(2)  # not 3-connected either
+        with pytest.raises(NotHamiltonianError):
+            find_half_cycle_3conn(graph, HamiltonCycle(tuple(range(12))))
+
     def test_preconditions(self):
         graph, ham = square_cycle(6)
         with pytest.raises(PreconditionError, match="n >= 8"):
@@ -481,3 +498,102 @@ def test_graph_reader_matches_oracle(data):
         assert type(exc) is expected, (text, exc)
         return
     assert (graph.adjacency, ham.order) == expected, text
+
+
+# ---------------------------------------------------------------------------
+# Vertex ids: integers only, at every entry point
+# ---------------------------------------------------------------------------
+
+_ID_CASES = {
+    "hamilton-bool": (lambda g, d: HamiltonCycle((True, 0, 2, 3, 4, 5)).validate(g),
+                      NotHamiltonianError),
+    "hamilton-float": (lambda g, d: HamiltonCycle((0.0, 1, 2, 3, 4, 5)).validate(g),
+                       NotHamiltonianError),
+    "hamilton-numpy": (lambda g, d: HamiltonCycle(tuple(np.arange(6))).validate(g), None),
+    "verify-float": (lambda g, d: verify_cycle(g, CycleResult((0.0, 1, 2))), False),
+    "verify-bool": (lambda g, d: verify_cycle(g, CycleResult((True, 2, 0))), False),
+    "verify-numpy": (lambda g, d: verify_cycle(g, CycleResult(tuple(np.arange(3)))), True),
+    "subtree-float": (lambda g, d: subtree_to_cycle(d, [1.0]), ValueError),
+    "subtree-bool": (lambda g, d: subtree_to_cycle(d, [True]), ValueError),
+    "subtree-numpy": (lambda g, d: subtree_to_cycle(d, [np.int64(1)]).length, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ID_CASES))
+def test_vertex_ids_must_be_integers(case):
+    graph, ham = square_cycle(6)
+    dual = build_dual_tree(graph, ham)
+    call, expected = _ID_CASES[case]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call(graph, dual)
+    else:
+        assert call(graph, dual) == expected
+
+
+# ---------------------------------------------------------------------------
+# The dart arrays read no rows
+# ---------------------------------------------------------------------------
+
+
+def test_no_row_reads(monkeypatch):
+    text = serialize_graph(*square_cycle_fanned(60))
+    reads = []
+    for name in ("adjacency", "faces"):
+        view = getattr(PlaneGraph, name)
+        monkeypatch.setattr(PlaneGraph, name, property(
+            lambda graph, view=view, name=name: reads.append(name) or view.fget(graph)))
+    graph, ham = parse_graph(text)
+    split_by_hamilton(graph, ham)
+    dual = build_dual_tree(graph, ham, "exterior")
+    cycle = find_cycle_near(graph, ham, 40, 1)
+    subtree_to_cycle(dual, [0])
+    assert verify_cycle(graph, cycle)
+    assert reads == []
+    graph.faces
+    assert reads == ["faces"]  # the counter works
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: faces, split, duals and boundaries against the
+# tuple-based oracles, on random plane hamiltonian graphs
+# ---------------------------------------------------------------------------
+
+
+def _same_faces(faces, expected, chordless):
+    """faces equal, except that the one face of a chordless region may be
+    walked either way round."""
+    if chordless:
+        return len(faces) == len(expected) == 1 and sorted(faces[0]) == sorted(expected[0])
+    return faces == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 30), st.integers(0, 2**32 - 1), st.data())
+def test_planar_matches_oracles(n, seed, data):
+    rng = random.Random(seed)
+    rows, order = random_plane_hamiltonian(rng, n)
+    graph, ham = PlaneGraph(rows), HamiltonCycle(order)
+    assert graph.adjacency == rows
+    assert graph.faces == oracle_trace(rows)[0]
+    split = split_by_hamilton(graph, ham)
+    assert (split.interior, split.exterior) == oracle_split(rows, order)
+    for side, chords in (("interior", split.interior), ("exterior", split.exterior)):
+        dual = build_dual_tree(graph, ham, side)
+        faces, dual_rows, weights, chord_of = oracle_dual(rows, order, side)
+        assert _same_faces(dual.faces, faces, not chords)
+        assert dual.tree.adjacency == dual_rows
+        assert dual.tree.weights.tolist() == weights
+        assert dual.chord_of == chord_of
+        k = data.draw(st.integers(dual.tree.max_weight, n - 2), label="k")
+        found = find_subtree(dual.tree, k, data.draw(st.integers(1, 3), label="g"))
+        if found is None:
+            continue
+        cycle = subtree_to_cycle(dual, found.vertices)
+        assert cycle.vertices == oracle_boundary(faces, found.vertices)
+        assert verify_cycle(graph, cycle)
+        seq = list(cycle.vertices)
+        i = data.draw(st.integers(0, len(seq) - 1), label="at")
+        seq[i] = data.draw(st.sampled_from([seq[i - 1], -1, n, rng.randrange(n)]), label="to")
+        bad = CycleResult(tuple(seq))
+        assert verify_cycle(graph, bad) == oracle_verify_cycle(rows, seq)
