@@ -147,16 +147,15 @@ def _cmd_find_subtree(args):
 
 
 def _cmd_find_cycle(args):
+    if args.half3conn and (args.k, args.g) != (None, None):
+        raise ValueError("--half3conn takes no k or g")
+    if not args.half3conn and None in (args.k, args.g):
+        raise ValueError("find-cycle needs k and g unless --half3conn is given")
     text = _read(args.file)
     digest = _digest(text)
     graph, ham = parse_graph(text)
-
-    if args.half3conn:
-        cycle: CycleResult | None = find_half_cycle_3conn(graph, ham)
-    else:
-        if args.k is None or args.g is None:
-            raise ValueError("find-cycle needs k and g unless --half3conn is given")
-        cycle = find_cycle_near(graph, ham, args.k, args.g)
+    cycle = (find_half_cycle_3conn(graph, ham) if args.half3conn
+             else find_cycle_near(graph, ham, args.k, args.g))
 
     if cycle is None:
         return digest, "not-found", None, None, "NOTFOUND"

@@ -34,7 +34,6 @@ from .tree import (
     _csr_rows,
     _csr_tree,
     _first_non_int,
-    _marked_connected,
     _pair_darts,
     _read_header,
     _read_rows,
@@ -78,14 +77,18 @@ class PlaneGraph(_Rotation):
         return frozenset(zip(tails[up].tolist(), self.neighbors[up].tolist()))
 
 
-class _Rows:
-    """The neighbor rows of CSR arrays, sliced on each index."""
-
-    def __init__(self, offsets, neighbors) -> None:
-        self.offsets, self.neighbors = offsets.tolist(), memoryview(neighbors)
-
-    def __getitem__(self, v):
-        return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
+def _connected(offsets, neighbors) -> bool:
+    """Whether the CSR graph is connected, by a walk from vertex 0."""
+    off, nbrs = offsets.tolist(), memoryview(neighbors)
+    seen, stack = bytearray(len(off) - 1), [0]
+    seen[0] = 1
+    while stack:
+        v = stack.pop()
+        for u in nbrs[off[v]:off[v + 1]]:
+            if not seen[u]:
+                seen[u] = 1
+                stack.append(u)
+    return 0 not in seen
 
 
 def _plane_graph(offsets, neighbors, graph=None) -> PlaneGraph:
@@ -96,7 +99,8 @@ def _plane_graph(offsets, neighbors, graph=None) -> PlaneGraph:
     if n < 3:
         raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
     reverse = _pair_darts(offsets, neighbors, EmbeddingError)
-    if not _marked_connected(_Rows(offsets, neighbors), bytearray(b"\x01") * n):
+    # Euler's formula alone passes a disconnected union with a non-planar part.
+    if not _connected(offsets, neighbors):
         raise EmbeddingError("graph is disconnected")
 
     # The faces are the successor orbits; walk each from its smallest dart,
@@ -109,13 +113,11 @@ def _plane_graph(offsets, neighbors, graph=None) -> PlaneGraph:
         if not seen[first]:
             starts.append(i)
             d = first
-            while True:
+            while not seen[d]:  # until the orbit is back at first
                 seen[d] = 1
                 out[i] = d
                 i += 1
                 d = succ[d]
-                if d == first:
-                    break
     del successor, succ, out, seen
 
     m, f = len(neighbors) // 2, len(starts)
@@ -443,24 +445,28 @@ def find_cycle_near(
 
 
 def is_three_connected(graph: PlaneGraph) -> bool:
-    """Brute-force check: no vertex set of size <= 2 disconnects the graph."""
-    n = graph.n_vertices
+    """Whether n >= 4 and no two vertices disconnect the graph, read off
+    its faces.  With n >= 4 that holds iff deleting any vertex v leaves a
+    2-connected graph, and a plane graph is 2-connected iff no face walk
+    repeats a vertex.  The faces around v merge into one when v goes, with
+    sum(len - 2) places, so v passes iff they hold that many distinct
+    vertices other than v (fewer if a face walk repeats v).  Time and
+    memory grow with the sum of the squared face lengths."""
+    n, bounds = graph.n_vertices, graph._face_offsets
     if n < 4:
         return False
-    adjacency = graph.adjacency
-    full = b"\x01" * n
-    for a in range(n):
-        mask = bytearray(full)
-        mask[a] = 0
-        if not _marked_connected(adjacency, mask):
-            return False
-    for a in range(n):
-        for b in range(a + 1, n):
-            mask = bytearray(full)
-            mask[a] = mask[b] = 0
-            if not _marked_connected(adjacency, mask):
-                return False
-    return True
+    lengths = np.diff(bounds)
+    at = _tails(graph.offsets)[graph._walk]  # the vertex at each place of the walk
+    size = np.repeat(lengths, lengths)  # per place, the length of its face
+    # Pair each place i with every place of its face, in size[i] slots.
+    j = np.arange(int(size.sum()))
+    j += np.repeat(np.repeat(bounds[:-1], lengths) - np.cumsum(size) + size, size)
+    u, w = np.repeat(at, size), at[j]
+    other = u != w
+    pairs = np.sort(u[other] * n + w[other])  # np.unique is far slower on int64
+    firsts = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    return np.array_equal(np.bincount(firsts // n, minlength=n),
+                          np.bincount(at, size - 2, minlength=n))
 
 
 def _square_cycle_positions(length: int) -> list[int]:
@@ -558,21 +564,23 @@ def _guaranteed_cycle(dual: DualTree, target: int, g: int, case: str) -> CycleRe
 def parse_graph(text: str) -> tuple[PlaneGraph, HamiltonCycle]:
     """Parse the plane-graph file format (rotation lists + hamilton line)."""
     n, lineno, text, start = _read_header(text, "graph", 3)
-    lines = text[start:].split("\n")
     ham: HamiltonCycle | None = None
-    for i in [i for i, line in enumerate(lines) if "hamilton:" in line]:
-        line = lines[i].strip()
+    at = text.find("hamilton:", start)
+    while at >= 0:
+        begin, end = text.rfind("\n", 0, at) + 1, text.find("\n", at)
+        end = len(text) if end < 0 else end
+        line = text[begin:end].strip()
         if line.startswith("hamilton:"):
+            where = lineno + 1 + text.count("\n", start, begin)
             if ham is not None:
-                raise FormatError("duplicate hamilton line", lineno + 1 + i)
+                raise FormatError("duplicate hamilton line", where)
             try:
                 ham = HamiltonCycle(tuple(map(int, line[9:].split())))
             except ValueError:
-                raise FormatError("non-integer token in hamilton line",
-                                  lineno + 1 + i) from None
-            lines[i] = ""
-    _, offsets, neighbors = _read_rows("\n".join(lines), 0, lineno, n, 1,
-                                       "<v>: <neighbors>")
+                raise FormatError("non-integer token in hamilton line", where) from None
+            text, end = text[:begin] + text[end:], begin  # blank the line
+        at = text.find("hamilton:", end)
+    _, offsets, neighbors = _read_rows(text, start, lineno, n, 1, "<v>: <neighbors>")
     if ham is None:
         raise FormatError("missing 'hamilton:' line")
     graph = _plane_graph(offsets, neighbors)

@@ -218,24 +218,6 @@ def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
     return reverse
 
 
-def _marked_connected(adjacency, mask: bytearray) -> bool:
-    """Whether the vertices v with mask[v] set induce a connected subgraph
-    of adjacency (true when none are marked).  Walks from the first marked
-    vertex and clears every mark it reaches, so the answer is whether any
-    mark is left; the caller's mask is consumed."""
-    start = mask.find(1)
-    if start < 0:
-        return True
-    mask[start] = 0
-    stack = [start]
-    while stack:
-        for u in adjacency[stack.pop()]:
-            if mask[u]:
-                mask[u] = 0
-                stack.append(u)
-    return 1 not in mask
-
-
 def _spans_subtree(tree: WeightedTree, vertices: np.ndarray) -> bool:
     """Whether distinct in-range vertices induce a connected subgraph of
     the tree: in a forest, k vertices are connected iff they span k - 1

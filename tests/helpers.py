@@ -368,3 +368,22 @@ def random_plane_hamiltonian(rng, n):
     start = rng.randrange(n)
     order = label[start:] + label[:start]
     return tuple(rows), tuple(order[::-1] if rng.random() < 0.5 else order)
+
+
+def oracle_is_three_connected(rows) -> bool:
+    """Whether n >= 4 and the graph stays connected after deleting any one
+    vertex or any two, by a fresh search for each deletion."""
+    n = len(rows)
+
+    def connected_without(gone):
+        rest = [v for v in range(n) if v not in gone]
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            for u in rows[stack.pop()]:
+                if u not in gone and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(rest)
+
+    return n >= 4 and all(connected_without({a, b}) for a in range(n) for b in range(a, n))

@@ -274,6 +274,12 @@ class TestFindCycle:
         code, _, err = run(capsys, "find-cycle", ring_file, "--half3conn")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("extra", [["7", "1"], ["7"]])
+    def test_half3conn_rejects_k_and_g(self, capsys, sq12_file, extra):
+        code, out, err = run(capsys, "find-cycle", sq12_file, *extra, "--half3conn")
+        assert (code, out) == (1, "")
+        assert err == "error: --half3conn takes no k or g\n"
+
 
 class TestSubsetSum:
     def test_dense_true(self, capsys):

@@ -40,6 +40,7 @@ from helpers import (
     naive_cycle_lengths,
     oracle_boundary,
     oracle_dual,
+    oracle_is_three_connected,
     oracle_parse_graph,
     oracle_split,
     oracle_trace,
@@ -92,6 +93,13 @@ class TestPlaneGraph:
         )
         with pytest.raises(EmbeddingError):
             PlaneGraph(two_triangles)
+        # A triangle beside K4 drawn on the torus: 7 - 9 + 4 = 2 passes Euler.
+        triangle_and_torus_k4 = (
+            (1, 2), (2, 0), (0, 1),
+            (4, 5, 6), (3, 5, 6), (3, 4, 6), (3, 4, 5),
+        )
+        with pytest.raises(EmbeddingError, match="disconnected"):
+            PlaneGraph(triangle_and_torus_k4)
 
     def test_too_small(self):
         with pytest.raises(EmbeddingError):
@@ -298,6 +306,16 @@ class TestFindCycleNear:
             assert k in lengths
 
 
+_SMALL_GRAPHS = {
+    **{f"square-cycle-{n}": lambda n=n: square_cycle(n) for n in (6, 8, 10, 12)},
+    **{f"square-cycle-fanned-{n}": lambda n=n: square_cycle_fanned(n) for n in (8, 10, 12)},
+    **{f"small-face-ring-{n}": lambda n=n: small_face_ring(n) for n in (12, 18)},
+    **{f"malkevitch-{p}": lambda p=p: malkevitch(p) for p in (1, 2, 3)},
+    **{f"ring-{n}": lambda n=n: ring_graph(n) for n in (3, 4, 5)},
+    "lopsided-18": lopsided_18,
+}
+
+
 class TestThreeConnected:
     def test_positive(self):
         graph, _ = square_cycle(8)
@@ -314,6 +332,53 @@ class TestThreeConnected:
     def test_small_graphs(self):
         graph, _ = ring_graph(3)
         assert not is_three_connected(graph)
+
+    @pytest.mark.parametrize("name", sorted(_SMALL_GRAPHS))
+    def test_families_match_oracle(self, name):
+        graph, _ = _SMALL_GRAPHS[name]()
+        assert is_three_connected(graph) == oracle_is_three_connected(graph.adjacency)
+
+
+def _drop_edges(rng, rows):
+    """rows without 1-3 random edges, which may leave cut vertices, bridges,
+    or a graph that is no longer connected or hamiltonian."""
+    rows = [list(row) for row in rows]
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(len(rows))
+        if rows[v]:
+            u = rng.choice(rows[v])
+            rows[v].remove(u)
+            rows[u].remove(v)
+    return tuple(map(tuple, rows))
+
+
+def _random_plane_graphs(seed, count):
+    """PlaneGraphs from random_plane_hamiltonian with n = 4-20, half of them
+    with edges dropped; inputs PlaneGraph rejects are skipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, _ = random_plane_hamiltonian(rng, rng.randint(4, 20))
+        if rng.random() < 0.5:
+            rows = _drop_edges(rng, rows)
+        try:
+            yield PlaneGraph(rows), rows
+        except EmbeddingError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_three_connected_matches_oracle(seed):
+    for graph, rows in _random_plane_graphs(seed, 3):
+        assert is_three_connected(graph) == oracle_is_three_connected(rows), rows
+
+
+def test_three_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for graph, rows in _random_plane_graphs(7, 300):
+        edges = [(v, u) for v, row in enumerate(rows) for u in row]
+        expected = nx.node_connectivity(nx.Graph(edges)) >= 3
+        assert is_three_connected(graph) == expected, rows
 
 
 class TestFindHalfCycle:
@@ -549,6 +614,9 @@ def test_no_row_reads(monkeypatch):
     cycle = find_cycle_near(graph, ham, 40, 1)
     subtree_to_cycle(dual, [0])
     assert verify_cycle(graph, cycle)
+    graph, ham = small_face_ring(12)
+    assert is_three_connected(graph)
+    assert verify_cycle(graph, find_half_cycle_3conn(graph, ham))
     assert reads == []
     graph.faces
     assert reads == ["faces"]  # the counter works
