@@ -55,8 +55,11 @@ def _digest(text: str) -> str:
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _report(args) -> int:

@@ -14,11 +14,25 @@ reaches k - g + 1 and shrinking s while the weight exceeds k; whenever the
 weight lands in [k-g+1, k] the window's vertex set is the answer.  Both
 pointers only move forward, at most 3 * 2(n-1) moves in total, which makes
 the whole search linear in the tree size.
+
+Whether a move changes the weight depends only on the next-visit gaps of
+the walk (the Euler-tour technique's next-occurrence array): stop i's
+vertex is visited again gap(i) stops later.  Shrinking past stop j drops
+its vertex iff gap(j) > t - j.  Growing onto stop i adds its vertex iff
+the previous visit lies before s, and that visit is L + 2 - gap(i - 1)
+stops back (L the walk's length), because the walk leaves i - 1's vertex
+into the branch of i's vertex and returns from it along the same edge.
+So a run of moves in one direction (a phase) needs no per-vertex state:
+its weight changes are one cumsum over a chunk of stops, and a
+searchsorted finds the move that ends the phase.  Chunks double from 64
+up to 16,384 stops.  The gaps are built once per tree, by the first
+search, in O(n) array passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,23 +40,39 @@ from .errors import DegenerateTreeError, InvariantError, WeightExceedsTargetErro
 from .tree import WeightedTree, _spans_subtree, check_conditions
 
 
+# A phase is swept in chunks of stops that double from _FIRST_CHUNK up to
+# _MAX_CHUNK, so that a short phase stays short and a long one runs at
+# array speed; _AHEAD counts the stops of a chunk.
+_FIRST_CHUNK, _MAX_CHUNK = 64, 1 << 14
+_AHEAD = np.arange(_MAX_CHUNK, dtype=np.int64)
+_AHEAD.flags.writeable = False
+# Stops per block of the gap build.
+_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class EulerCycle:
     """The closed walk of one tree, stops in traversal order.
 
     vertices[i] is the tree vertex stop i leaves from; rotation[i] is the
-    index (into that vertex's neighbor list) of the edge taken; both are
-    read-only int64 arrays.  The successor of stop i is stop (i + 1) % len,
-    the predecessor (i - 1) % len.  tree is the tree walked; find_subtree
+    index (into that vertex's neighbor list) of the edge taken, read off
+    the dart the stop takes on first access; both are read-only int64
+    arrays.  The successor of stop i is stop (i + 1) % len, the
+    predecessor (i - 1) % len.  tree is the tree walked; find_subtree
     refuses to pair the walk with any other tree.
     """
 
     vertices: np.ndarray
-    rotation: np.ndarray
     tree: WeightedTree
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        rotation = self.tree._darts - self.tree.offsets[self.vertices]
+        rotation.flags.writeable = False
+        return rotation
 
 
 def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
@@ -54,7 +84,7 @@ def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
     """
     if tree.n_vertices == 1:
         raise DegenerateTreeError("single-vertex tree has no closed walk")
-    return EulerCycle(tree._stops, tree._turns, tree)
+    return EulerCycle(tree._stops, tree)
 
 
 @dataclass(frozen=True)
@@ -85,9 +115,9 @@ def find_subtree(
     up.  Requires every single vertex weight <= k (WeightExceedsTargetError
     otherwise): a too-heavy vertex can never leave a window in range.
 
-    start is the stop index to open the window at; cycle lets callers reuse
-    the walk of this tree for repeated searches (ValueError for the walk
-    of another tree).  on_move, if given, is called as
+    start is the stop index to open the window at.  The search runs on the
+    walk the tree keeps; cycle, if given, must be that walk (ValueError for
+    the walk of another tree).  on_move, if given, is called as
     on_move(kind, s, t, weight) after every pointer move, with kind "grow"
     or "shrink" and s, t the current inclusive window.
     """
@@ -107,67 +137,100 @@ def find_subtree(
             return SubtreeResult(frozenset((0,)), w, (0, 0), 0)
         return None
 
-    if cycle is None:
-        cycle = build_euler_cycle(tree)
-    elif cycle.tree is not tree:
+    if cycle is not None and cycle.tree is not tree:
         raise ValueError("the walk was built for another tree")
-    length = len(cycle)
+    stops, weights = tree._stops, tree.weights
+    length = len(stops)
     if not 0 <= start < length:
         raise ValueError(f"start stop {start} out of range 0..{length - 1}")
 
-    # memoryviews read the arrays as Python ints, at about list speed.
-    rho = memoryview(cycle.vertices)
-    weights = memoryview(tree.weights)
-    occ = [0] * tree.n_vertices
+    gaps = tree._gaps
+    if gaps is None:
+        gaps = tree._gaps = _next_visit_gaps(tree)
     budget = 3 * length
 
+    # s and t run on past the end of the walk, stop i being stop
+    # i % length; a chunk of stops ends at the end of the walk at the latest.
     s = t = start
-    v = rho[start]
-    occ[v] = 1
-    weight = weights[v]
+    weight = int(weights[stops[start]])
     steps = 0
+    grew, chunk = None, 0
+    while not low <= weight <= k:
+        grow = weight < low
+        chunk = min(2 * chunk, _MAX_CHUNK) if grow == grew else _FIRST_CHUNK
+        grew = grow
+        first = (t + 1 if grow else s) % length
+        m = min(chunk, budget - steps, length - first)
+        if m == 0:
+            return _not_found(tree, k, g)
+        if grow:
+            # Stop t + 1 + r brings a new vertex iff the vertex's previous
+            # visit, length + 2 - gaps[t + 1 + r] stops back, is before s.
+            counted = gaps[first:first + m] + _AHEAD[:m] < length + 1 - (t - s)
+        else:
+            # Stop s + r takes its vertex along iff the vertex's next
+            # visit, gaps[s + r + 1] stops on, is past t.
+            counted = gaps[first + 1:first + 1 + m] + _AHEAD[:m] > t - s
+        change = (weights.take(stops[first:first + m]) * counted).cumsum()
+        # The moves up to the first that brings the weight into line.
+        moves = min(int(change.searchsorted(low - weight if grow else weight - k)) + 1, m)
+        if on_move is not None:
+            for r, d in enumerate(change[:moves].tolist(), 1):
+                if grow:
+                    on_move("grow", s % length, (t + r) % length, weight + d)
+                else:
+                    on_move("shrink", (s + r) % length, t % length, weight - d)
+        steps += moves
+        if grow:
+            t += moves
+            weight += int(change[moves - 1])
+        else:
+            s += moves
+            weight -= int(change[moves - 1])
+    # The window's vertices, each read at its last stop in the window, in
+    # chunks as above; sorted, since a set builds faster from sorted ints.
+    last, j = [], s
+    while j <= t:
+        first = j % length
+        m = min(_MAX_CHUNK, t + 1 - j, length - first)
+        last.append(stops[first:first + m][gaps[first + 1:first + 1 + m] + _AHEAD[:m] > t - j])
+        j += m
+    vertices = np.concatenate(last)
+    vertices.sort()
+    return SubtreeResult(frozenset(vertices.tolist()), weight,
+                         (s % length, t % length), steps)
 
-    while True:
-        while weight < low:
-            if steps >= budget:
-                return _not_found(tree, k, g)
-            t += 1
-            if t == length:
-                t = 0
-            steps += 1
-            v = rho[t]
-            o = occ[v]
-            occ[v] = o + 1
-            if o == 0:
-                weight += weights[v]
-            if on_move is not None:
-                on_move("grow", s, t, weight)
-        if weight <= k:
-            return _window_result(cycle, s, t, weight, steps)
-        while weight > k:
-            if steps >= budget:
-                return _not_found(tree, k, g)
-            v = rho[s]
-            o = occ[v] - 1
-            occ[v] = o
-            if o == 0:
-                weight -= weights[v]
-            s += 1
-            if s == length:
-                s = 0
-            steps += 1
-            if on_move is not None:
-                on_move("shrink", s, t, weight)
-        if weight >= low:
-            return _window_result(cycle, s, t, weight, steps)
 
+def _next_visit_gaps(tree: WeightedTree) -> np.ndarray:
+    """The next-visit gaps of the tree's walk, shifted by one stop, as a
+    read-only int32 array: gaps[i + 1] is how many stops after stop i its
+    vertex is visited again (the walk's length for a leaf), and gaps[0]
+    repeats gaps[length], the last stop's.  A chunk of stops thus reads
+    its own gaps and those of the stops before it as slices.
 
-def _window_result(cycle: EulerCycle, s: int, t: int, weight: int,
-                   steps: int) -> SubtreeResult:
-    """The result for window [s, t]: the vertices at its stops."""
-    stops = cycle.vertices
-    inside = stops[s:t + 1] if s <= t else np.r_[stops[s:], stops[:t + 1]]
-    return SubtreeResult(frozenset(inside.tolist()), weight, (s, t), steps)
+    A vertex's darts are taken in rotation order, so the visit after the
+    stop that takes dart d is the stop that takes the dart after d in the
+    rotation.  Built in blocks, so that no temporary is as long as the
+    walk."""
+    darts, offsets = tree._darts, tree.offsets
+    length = len(darts)
+    at = np.empty(length + 1, dtype=np.int32)  # 1 + the stop taking each dart
+    for lo in range(0, length, _BLOCK):
+        hi = min(lo + _BLOCK, length)
+        at[darts[lo:hi]] = np.arange(1 + lo, 1 + hi, dtype=np.int32)
+    gaps = np.empty(length + 1, dtype=np.int32)
+    for lo in range(0, length, _BLOCK):  # in dart order
+        hi = min(lo + _BLOCK, length)
+        gap = at[lo + 1:hi + 1] - at[lo:hi]
+        # The vertices whose last dart is in the block turn to their first.
+        v, w = np.searchsorted(offsets, (lo, hi), "right")
+        last = offsets[v:w] - 1
+        gap[last - lo] = at[offsets[v - 1:w - 1]] - at[last]
+        gap += (gap <= 0) * np.int32(length)
+        gaps[at[lo:hi]] = gap
+    gaps[0] = gaps[length]
+    gaps.flags.writeable = False
+    return gaps
 
 
 def _not_found(tree: WeightedTree, k: int, g: int) -> None:

@@ -135,12 +135,14 @@ _BEAD_PATH = (1, 4, 3, 6, 5, 2)
 
 
 def malkevitch(p: int) -> tuple[PlaneGraph, HamiltonCycle]:
-    """Necklace of p octahedra: 4-regular, 3-connected, n = 6p.
+    """Necklace of p octahedra: 4-regular, n = 6p.
 
-    For p = 1 this is the octahedron itself.  For p >= 2, each bead loses
-    its outer 1-2 edge and instead links its vertex 2 to the next bead's
-    vertex 1, closing a ring of beads; the link edge takes over the
-    removed edge's slot in both rotations, so the embedding stays plane.
+    For p = 1 this is the octahedron itself, which is 3-connected.  For
+    p >= 2, each bead loses its outer 1-2 edge and instead links its
+    vertex 2 to the next bead's vertex 1, closing a ring of beads; the
+    link edge takes over the removed edge's slot in both rotations, so the
+    embedding stays plane.  The necklace is then only 2-connected: the two
+    link ends of a bead cut it from the rest.
     The cycle spectrum of these graphs has a gap: short cycles live
     inside single beads, long ones must traverse the whole necklace.
     """

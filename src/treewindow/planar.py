@@ -357,12 +357,12 @@ def subtree_to_cycle(dual: DualTree, vertices) -> CycleResult:
     bad = _first_non_int(chosen, 0, dual.tree.n_vertices)
     if bad is not None:
         raise ValueError(f"dual vertex {chosen[bad]!r} is not an id in range")
-    picked = np.unique(np.array(chosen, dtype=np.int64))
+    on_picked = np.zeros(dual.tree.n_vertices, dtype=bool)
+    on_picked[np.array(chosen, dtype=np.int64)] = True
+    picked = np.flatnonzero(on_picked)
     if not _spans_subtree(dual.tree, picked):
         raise ValueError("dual vertices do not induce a connected subtree")
 
-    on_picked = np.zeros(dual.tree.n_vertices, dtype=bool)
-    on_picked[picked] = True
     inside = np.zeros(dual.primal_n, dtype=bool)
     inside[dual.face_vertices[np.repeat(on_picked, np.diff(dual.face_offsets))]] = True
     ring = dual.hamilton[inside[dual.hamilton]]

@@ -87,10 +87,11 @@ class WeightedTree(_Rotation):
     and max_weight are ints.  WeightedTree(weights, adjacency) takes
     sequences, numpy integers included; bool and float weights are refused.
     Building a tree walks it once, which proves it connected; the tree
-    keeps that walk for euler.build_euler_cycle.
+    keeps that walk for euler.build_euler_cycle, and the first search
+    fills in the walk's next-visit gaps (euler.find_subtree).
     """
 
-    __slots__ = ("weights", "total_weight", "max_weight", "_stops", "_turns")
+    __slots__ = ("weights", "total_weight", "max_weight", "_stops", "_darts", "_gaps")
 
     def __init__(self, weights, adjacency) -> None:
         weights = _weight_array(weights)
@@ -131,16 +132,8 @@ def _csr_rows(offsets, neighbors) -> tuple[tuple[int, ...], ...]:
 def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
     """Validate int64 CSR arrays as a tree and walk it; the arrays and the
     walk go into tree, a new WeightedTree unless given."""
-    tree = WeightedTree.__new__(WeightedTree) if tree is None else tree
+    totals = _totals(weights)
     n = len(weights)
-    if n == 0:
-        raise NotATreeError("a tree needs at least one vertex")
-    heaviest = int(weights.max())
-    # The int64 sum cannot overflow below this bound; above it, sum exactly.
-    total = int(weights.sum()) if heaviest * n < 1 << 63 else sum(weights.tolist())
-    if total >= MAX_TOTAL_WEIGHT:
-        raise WeightError(f"total weight {total} exceeds 2**62")
-
     successor = _successor(offsets, neighbors,
                            _pair_darts(offsets, neighbors, NotATreeError))
     if len(neighbors) != 2 * (n - 1):
@@ -148,7 +141,7 @@ def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
             f"{len(neighbors) // 2} edges for {n} vertices; a tree has {n - 1}")
     # The walk is the orbit of dart 0 under successor.  With n - 1 edges
     # and no isolated vertex, the graph is a tree iff it covers every dart.
-    tour = np.empty_like(successor)
+    tour = np.empty(len(successor), dtype=np.int32)
     out, succ, d = memoryview(tour), memoryview(successor), 0
     for i in range(len(tour)):
         out[i] = d
@@ -157,14 +150,33 @@ def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
     degrees = np.diff(offsets)
     if np.count_nonzero(tour == 0) > 1 or n > 1 and not degrees.all():
         raise NotATreeError("adjacency is disconnected")
-    stops = _tails(offsets)[tour]
-    tour -= offsets[stops]
+    return _store(tree, totals, weights, offsets, neighbors, _tails(offsets)[tour], tour)
 
-    tree.total_weight, tree.max_weight = total, heaviest
+
+def _totals(weights) -> tuple[int, int]:
+    """The total and the largest of a tree's weights."""
+    if len(weights) == 0:
+        raise NotATreeError("a tree needs at least one vertex")
+    heaviest = int(weights.max())
+    # The int64 sum cannot overflow below this bound; above it, sum exactly.
+    total = (int(weights.sum()) if heaviest * len(weights) < 1 << 63
+             else sum(weights.tolist()))
+    if total >= MAX_TOTAL_WEIGHT:
+        raise WeightError(f"total weight {total} exceeds 2**62")
+    return total, heaviest
+
+
+def _store(tree, totals, weights, offsets, neighbors, stops, darts) -> WeightedTree:
+    """Fill tree (a new WeightedTree if None) with a validated tree's
+    totals, its CSR arrays and its walk (the vertex of each stop, int64,
+    and the dart it takes, int32), the arrays made read-only."""
+    tree = WeightedTree.__new__(WeightedTree) if tree is None else tree
+    tree.total_weight, tree.max_weight = totals
     for name, array in (("weights", weights), ("offsets", offsets),
-                        ("neighbors", neighbors), ("_stops", stops), ("_turns", tour)):
+                        ("neighbors", neighbors), ("_stops", stops), ("_darts", darts)):
         array.flags.writeable = False
         setattr(tree, name, array)
+    tree._gaps = None
     return tree
 
 
@@ -229,10 +241,19 @@ def _spans_subtree(tree: WeightedTree, vertices: np.ndarray) -> bool:
 
 
 def path_tree(weights) -> WeightedTree:
-    """Path with the given weights, vertex i adjacent to i-1 and i+1."""
-    darts = np.arange(max(2 * len(weights) - 2, 0), dtype=np.int64)
-    offsets = np.clip(2 * np.arange(len(weights) + 1) - 1, 0, len(darts))
-    return _csr_tree(_weight_array(weights), offsets, darts // 2 + 1 - darts % 2)
+    """Path with the given weights, vertex i adjacent to i-1 and i+1.
+
+    Its walk is known in closed form: stops 0, 1, ..., n-1, n-2, ..., 1,
+    out along the darts 0, 2, ..., 2n-4 (vertex i to i + 1) and back along
+    2n-3, 2n-5, ..., 1 (vertex i to i - 1)."""
+    weights = _weight_array(weights)
+    totals = _totals(weights)
+    n = len(weights)
+    darts = np.arange(2 * n - 2, dtype=np.int64)
+    offsets = np.clip(2 * np.arange(n + 1) - 1, 0, len(darts))
+    stops = n - 1 - np.abs(darts - (n - 1))
+    return _store(None, totals, weights, offsets, darts // 2 + 1 - darts % 2,
+                  stops, (2 * stops - (darts >= n - 1)).astype(np.int32))
 
 
 def star_tree(center_weight: int, leaf_weights) -> WeightedTree:

@@ -9,7 +9,17 @@ from __future__ import annotations
 
 from collections import Counter
 
-from treewindow import EmbeddingError, FormatError, NotATreeError, WeightError, WeightedTree
+from treewindow import (
+    EmbeddingError,
+    FormatError,
+    InvariantError,
+    NotATreeError,
+    SubtreeResult,
+    WeightError,
+    WeightedTree,
+    WeightExceedsTargetError,
+    check_conditions,
+)
 
 
 def naive_subtree_weights(tree: WeightedTree) -> set[int]:
@@ -200,6 +210,48 @@ def oracle_walk(adjacency) -> list[tuple[int, int]]:
         u = adjacency[v][r]
         v, r = u, (adjacency[u].index(v) + 1) % len(adjacency[u])
     return stops
+
+
+def oracle_find_subtree(tree, k, g, *, start=0, on_move=None):
+    """The window search one pointer move at a time, with an occupancy
+    count per vertex, over oracle_walk's stops.  Same arguments, result,
+    exceptions and on_move calls as treewindow.find_subtree, for inputs
+    that find_subtree accepts."""
+    weights = tree.weights.tolist()
+    if max(weights) > k:
+        raise WeightExceedsTargetError(f"vertex weight {max(weights)} exceeds target {k}")
+    low = k - g + 1
+    if tree.n_vertices == 1:
+        return SubtreeResult(frozenset({0}), weights[0], (0, 0), 0) if low <= weights[0] <= k else None
+    rho = [v for v, _ in oracle_walk(tree.adjacency)]
+    length = len(rho)
+    occ = [0] * tree.n_vertices
+    s = t = start
+    occ[rho[s]] = 1
+    weight = weights[rho[s]]
+    steps = 0
+    while not low <= weight <= k:
+        if steps == 3 * length:
+            if check_conditions(tree, k, g).overall:
+                raise InvariantError("search budget exhausted although all conditions hold")
+            return None
+        steps += 1
+        if weight < low:
+            t = (t + 1) % length
+            occ[rho[t]] += 1
+            if occ[rho[t]] == 1:
+                weight += weights[rho[t]]
+            if on_move is not None:
+                on_move("grow", s, t, weight)
+        else:
+            occ[rho[s]] -= 1
+            if occ[rho[s]] == 0:
+                weight -= weights[rho[s]]
+            s = (s + 1) % length
+            if on_move is not None:
+                on_move("shrink", s, t, weight)
+    inside = {v for v, n in enumerate(occ) if n}
+    return SubtreeResult(frozenset(inside), weight, (s, t), steps)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,16 @@ class TestFindSubtree:
         code, _, err = run(capsys, "find-subtree", str(f), "1", "1")
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.tree", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_path(self, capsys, tmp_path, name, reason):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "find-subtree", path, "1", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: cannot read {path}: {reason}\n"
+
 
 class TestFindCycle:
     def test_window(self, capsys, sq12_file):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import treewindow
 
 from treewindow import (
+    TIGHT_FAMILIES,
     DegenerateTreeError,
     SubtreeResult,
     WeightExceedsTargetError,
@@ -24,6 +26,10 @@ from treewindow import (
     tight_instance,
     verify_subtree,
 )
+from treewindow.euler import _MAX_CHUNK
+from treewindow.generators import random_tree
+
+from helpers import oracle_find_subtree
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
 
@@ -229,6 +235,95 @@ class TestSearchProperties:
             assert is_connected_in(tree, inside)
 
 
+@st.composite
+def search_inputs(draw):
+    """A tree from one of the package's families, and k, g and a start
+    stop, k up to a little past the total weight."""
+    family = draw(st.sampled_from(("random", "path", "star", "tight")))
+    weights = st.lists(st.integers(1, 6), min_size=1, max_size=60)
+    if family == "random":
+        tree = random_tree(draw(st.integers(1, 60)), draw(st.integers(1, 6)),
+                           draw(st.integers(0, 2**20)))
+    elif family == "path":
+        tree = path_tree(draw(weights))
+    elif family == "star":
+        w = draw(weights)
+        tree = star_tree(w[0], w[1:])
+    else:
+        name = draw(st.sampled_from(TIGHT_FAMILIES))
+        p = draw(st.integers(3, 12))
+        q = draw(st.integers(3, p) if name == "star_cap" else st.integers(1, 5))
+        tree = tight_instance(name, p, q).tree
+    k = draw(st.integers(1, tree.total_weight + 8), label="k")
+    g = draw(st.integers(1, 6), label="g")
+    start = draw(st.integers(0, max(2 * tree.n_vertices - 3, 0)), label="start")
+    return tree, k, g, start
+
+
+def traced(search, tree, k, g, start):
+    """The outcome of one search, or the class of the error it raised,
+    and its on_move calls."""
+    moves = []
+    try:
+        outcome = search(tree, k, g, start=start,
+                         on_move=lambda *move: moves.append(move))
+    except WeightExceedsTargetError as exc:
+        outcome = type(exc)
+    return outcome, moves
+
+
+class TestAgainstOracle:
+    """The phase sweep makes the same moves as the one-move-at-a-time
+    search in tests/helpers.py, event for event."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(search_inputs())
+    def test_same_result_and_moves(self, case):
+        assert traced(find_subtree, *case) == traced(oracle_find_subtree, *case)
+
+    @pytest.fixture(scope="class")
+    def big_tree(self):
+        return random_tree(20000, 9, 11)
+
+    def test_phase_past_chunk_cap(self, big_tree):
+        case = (big_tree, big_tree.total_weight // 2, 1, 7)
+        outcome, moves = traced(find_subtree, *case)
+        assert (outcome, moves) == traced(oracle_find_subtree, *case)
+        grows = [kind == "grow" for kind, *_ in moves]
+        assert outcome is not None and all(grows[:_MAX_CHUNK + 1])
+
+    def test_window_wraps_the_walk(self, big_tree):
+        length = 2 * (big_tree.n_vertices - 1)
+        case = (big_tree, 5000, 1, length - 100)
+        outcome, moves = traced(find_subtree, *case)
+        assert (outcome, moves) == traced(oracle_find_subtree, *case)
+        s, t = outcome.window
+        assert t < s and verify_subtree(big_tree, outcome, 5000, 1)
+
+    @pytest.mark.parametrize("start", [0, 1, 97])
+    def test_budget_runs_out_past_the_total(self, start):
+        tree = random_tree(60, 9, start)
+        case = (tree, tree.total_weight + 1, 1, start)
+        outcome, moves = traced(find_subtree, *case)
+        assert (outcome, moves) == traced(oracle_find_subtree, *case)
+        assert outcome is None and len(moves) == 3 * 2 * (tree.n_vertices - 1)
+
+
+def test_small_query_allocates_little():
+    """Once the tree is warm, a small-k search allocates in proportion to
+    its window, nothing in proportion to the tree."""
+    tree = random_tree(10**5, 9, 3)
+    find_subtree(tree, 20, 1)
+    tracemalloc.start()
+    try:
+        for start in range(0, 2 * tree.n_vertices - 2, 19997):
+            assert find_subtree(tree, 20, 1, start=start) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 _OPTIMIZED_SWEEP = """
 import sys
 import treewindow.subsetsum as subsetsum
@@ -249,6 +344,15 @@ for seed in range(120):
             if found is None or not verify_subtree(tree, found, k, g):
                 sys.exit(f"guarantee broken: seed {seed}, k {k}, g {g}")
             searched += 1
+
+# One tree big enough that a phase outgrows the chunk cap.
+tree = random_tree(20000, 9, 5)
+half = tree.total_weight // 2
+for k, g, start in ((half, 1, 0), (half + 1, 8, 20001), (half // 2, 3, 39997)):
+    found = find_subtree(tree, k, g, start=start)
+    if found is None or not verify_subtree(tree, found, k, g):
+        sys.exit(f"guarantee broken: k {k}, g {g}, start {start}")
+    searched += 1
 
 # A search that breaks its guarantee must still raise under -O.
 subsetsum.find_subtree = lambda *args, **kwargs: None

@@ -39,6 +39,29 @@ def weighted_trees(draw, max_n: int = 10, max_weight: int = 6):
     return WeightedTree(weights, tuple(tuple(row) for row in adjacency))
 
 
+class TestPathTree:
+    def test_closed_form_matches_walked_tree(self):
+        """path_tree writes its walk down; WeightedTree walks the same path."""
+        rng = np.random.default_rng(8)
+        for n in range(1, 65):
+            weights = rng.integers(1, 10, n).tolist()
+            rows = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+            fast, walked = path_tree(weights), WeightedTree(weights, rows)
+            for name in ("weights", "offsets", "neighbors", "_stops", "_darts"):
+                a, b = getattr(fast, name), getattr(walked, name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), (n, name)
+                assert not a.flags.writeable
+            assert (fast.total_weight, fast.max_weight) == (walked.total_weight, walked.max_weight)
+
+    def test_checks_kept(self):
+        with pytest.raises(NotATreeError):
+            path_tree(())
+        with pytest.raises(WeightError):
+            path_tree((1, 0, 1))
+        with pytest.raises(WeightError):
+            path_tree((1 << 61, 1 << 61))
+
+
 class TestValidation:
     def test_single_vertex(self):
         t = WeightedTree((5,), ((),))
