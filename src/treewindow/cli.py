@@ -38,6 +38,7 @@ from .subsetsum import (
 )
 from .tree import (
     WeightedTree,
+    _tails,
     achievable_subtree_weights,
     check_conditions,
     parse_tree,
@@ -137,7 +138,7 @@ def _cmd_find_subtree(args):
         return digest, "not-found", None, None, "NOTFOUND"
     if not verify_subtree(tree, result, args.k, args.g):
         raise InvariantError(f"search returned an invalid subtree: {result}")
-    verts = sorted(result.vertices)
+    verts = result.ids.tolist()
     payload = {"weight": result.weight, "vertices": verts,
                "window": list(result.window)}
     line = f"SUBTREE weight={result.weight} vertices={','.join(map(str, verts))}"
@@ -331,17 +332,14 @@ def _dot_tree(tree: WeightedTree, highlight: set[int]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _dot_graph(graph, ham, cycle: list[int] | None) -> str:
-    marked = set()
-    if cycle:
-        marked = {
-            tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
-            for i in range(len(cycle))
-        }
+def _dot_graph(graph, ham, cycle: list[int]) -> str:
+    marked = {tuple(sorted(pair)) for pair in zip(cycle, cycle[1:] + cycle[:1])}
     out = ["graph plane {", "  node [shape=circle];", "  layout=circo;"]
     for v in ham.order:
         out.append(f"  {v};")
-    for v, u in sorted(graph.edges()):
+    tails = _tails(graph.offsets)
+    up = tails < graph.neighbors
+    for v, u in sorted(zip(tails[up].tolist(), graph.neighbors[up].tolist())):
         style = " [color=red penwidth=2]" if (v, u) in marked else ""
         out.append(f"  {v} -- {u}{style};")
     out.append("}")
@@ -363,7 +361,7 @@ def _cmd_dot(args) -> int:
     if highlight:
         if not verify_cycle(graph, CycleResult(tuple(highlight))):
             raise ValueError("highlight is not a cycle of the graph")
-    sys.stdout.write(_dot_graph(graph, ham, highlight or None))
+    sys.stdout.write(_dot_graph(graph, ham, highlight))
     return 0
 
 

@@ -26,7 +26,8 @@ So a run of moves in one direction (a phase) needs no per-vertex state:
 its weight changes are one cumsum over a chunk of stops, and a
 searchsorted finds the move that ends the phase.  Chunks double from 64
 up to 16,384 stops.  The gaps are built once per tree, by the first
-search, in O(n) array passes.
+search, in O(n) array passes.  The answer is read off the final window
+the same way, as a sorted int64 array of vertex ids (SubtreeResult.ids).
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .tree import WeightedTree, _spans_subtree, check_conditions
 _FIRST_CHUNK, _MAX_CHUNK = 64, 1 << 14
 _AHEAD = np.arange(_MAX_CHUNK, dtype=np.int64)
 _AHEAD.flags.writeable = False
+_ROOT = np.zeros(1, dtype=np.int64)  # the ids of a single-vertex tree's answer
+_ROOT.flags.writeable = False
 # Stops per block of the gap build.
 _BLOCK = 1 << 16
 
@@ -87,16 +90,31 @@ def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
     return EulerCycle(tree._stops, tree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubtreeResult:
-    """A found subtree: its vertex set, weight, and the walk window (s, t)
-    of stop indices (inclusive, possibly wrapping) that produced it, plus
-    the number of pointer moves the search spent."""
+    """A found subtree: its vertex ids (from find_subtree, a sorted,
+    duplicate-free, read-only int64 array), weight, the walk window (s, t)
+    of stop indices (inclusive, possibly wrapping) that produced it, and
+    the search's pointer moves.  vertices is the same set as a frozenset,
+    built on first access.  Results compare and hash by value."""
 
-    vertices: frozenset[int]
+    ids: np.ndarray
     weight: int
     window: tuple[int, int]
     steps: int
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubtreeResult):
+            return NotImplemented
+        return (self.weight == other.weight and self.window == other.window
+                and self.steps == other.steps and np.array_equal(self.ids, other.ids))
+
+    def __hash__(self) -> int:
+        return hash((self.ids.tobytes(), self.weight, self.window, self.steps))
 
 
 def find_subtree(
@@ -134,7 +152,7 @@ def find_subtree(
     if tree.n_vertices == 1:
         w = tree.total_weight
         if low <= w <= k:
-            return SubtreeResult(frozenset((0,)), w, (0, 0), 0)
+            return SubtreeResult(_ROOT, w, (0, 0), 0)
         return None
 
     if cycle is not None and cycle.tree is not tree:
@@ -188,17 +206,17 @@ def find_subtree(
             s += moves
             weight -= int(change[moves - 1])
     # The window's vertices, each read at its last stop in the window, in
-    # chunks as above; sorted, since a set builds faster from sorted ints.
+    # chunks as above.
     last, j = [], s
     while j <= t:
         first = j % length
         m = min(_MAX_CHUNK, t + 1 - j, length - first)
         last.append(stops[first:first + m][gaps[first + 1:first + 1 + m] + _AHEAD[:m] > t - j])
         j += m
-    vertices = np.concatenate(last)
-    vertices.sort()
-    return SubtreeResult(frozenset(vertices.tolist()), weight,
-                         (s % length, t % length), steps)
+    ids = np.concatenate(last)
+    ids.sort()
+    ids.flags.writeable = False
+    return SubtreeResult(ids, weight, (s % length, t % length), steps)
 
 
 def _next_visit_gaps(tree: WeightedTree) -> np.ndarray:
@@ -248,15 +266,17 @@ def _not_found(tree: WeightedTree, k: int, g: int) -> None:
 def verify_subtree(
     tree: WeightedTree, result: SubtreeResult, k: int, g: int
 ) -> bool:
-    """Independently check a search result: weight range, weight sum, and
+    """Independently check a search result: ids a non-empty, strictly
+    increasing array of vertex ids in range, weight range, weight sum, and
     connectivity of the vertex set in the tree, counted as edges (without
     the walk): k vertices of a tree are connected iff they span k - 1."""
-    vertices = np.fromiter(result.vertices, dtype=np.int64,
-                           count=len(result.vertices))
-    if not len(vertices) or not k - g + 1 <= result.weight <= k:
+    ids = result.ids
+    if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"
+            and len(ids) and 0 <= ids[0] and ids[-1] < tree.n_vertices
+            and (ids[1:] > ids[:-1]).all()):
         return False
-    if ((vertices < 0) | (vertices >= tree.n_vertices)).any():
+    if not k - g + 1 <= result.weight <= k:
         return False
-    if int(tree.weights[vertices].sum()) != result.weight:
+    if int(tree.weights[ids].sum()) != result.weight:
         return False
-    return _spans_subtree(tree, vertices)
+    return _spans_subtree(tree, ids)

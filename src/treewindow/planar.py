@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmbeddingError,
     FormatError,
+    InstanceTooLargeError,
     InvariantError,
     NotHamiltonianError,
     PreconditionError,
@@ -70,11 +71,6 @@ class PlaneGraph(_Rotation):
         """The faces as vertex walks, ordered by and starting from their
         smallest dart; built on each access."""
         return _csr_rows(self._face_offsets, _tails(self.offsets)[self._walk])
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        tails = _tails(self.offsets)
-        up = tails < self.neighbors
-        return frozenset(zip(tails[up].tolist(), self.neighbors[up].tolist()))
 
 
 def _connected(offsets, neighbors) -> bool:
@@ -158,9 +154,6 @@ class HamiltonCycle:
 
     def validate(self, graph: PlaneGraph) -> None:
         _hamilton_darts(graph, self.order)
-
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
 
 
 def _hamilton_darts(graph: PlaneGraph, order) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +244,7 @@ class DualTree:
     face length minus 2.  Two faces are adjacent when they share a chord:
     chords[d] holds the ends of the chord that dual dart d (an index of
     tree.neighbors) crosses.  hamilton is the cycle's vertex order.  All
-    four are read-only int64 arrays; faces and chord_of are views of them.
+    four are read-only int64 arrays; faces is a view of them.
     """
 
     tree: WeightedTree
@@ -266,15 +259,6 @@ class DualTree:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The face walks, built on each access."""
         return _csr_rows(self.face_offsets, self.face_vertices)
-
-    @property
-    def chord_of(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Each dual edge, as a sorted pair, to the chord it crosses, also
-        sorted; built on each access."""
-        tails, heads = _tails(self.tree.offsets), self.tree.neighbors
-        up = tails < heads
-        return dict(zip(zip(tails[up].tolist(), heads[up].tolist()),
-                        map(tuple, np.sort(self.chords[up], axis=1).tolist())))
 
 
 def build_dual_tree(
@@ -349,16 +333,17 @@ def subtree_to_cycle(dual: DualTree, vertices) -> CycleResult:
     a connected face set runs through the set's vertices in hamilton
     order; its length is exactly (total weight of the chosen faces) + 2.
     The cycle starts at its smallest vertex and runs toward the smaller of
-    that vertex's two neighbors on it.
+    that vertex's two neighbors on it.  vertices is an integer array, such
+    as SubtreeResult.ids, or any collection of ids.
     """
-    chosen = list(vertices)
-    if not chosen:
+    chosen = vertices if isinstance(vertices, np.ndarray) else list(vertices)
+    if not len(chosen):
         raise ValueError("need at least one dual vertex")
     bad = _first_non_int(chosen, 0, dual.tree.n_vertices)
     if bad is not None:
         raise ValueError(f"dual vertex {chosen[bad]!r} is not an id in range")
     on_picked = np.zeros(dual.tree.n_vertices, dtype=bool)
-    on_picked[np.array(chosen, dtype=np.int64)] = True
+    on_picked[np.asarray(chosen, dtype=np.int64)] = True
     picked = np.flatnonzero(on_picked)
     if not _spans_subtree(dual.tree, picked):
         raise ValueError("dual vertices do not induce a connected subtree")
@@ -433,7 +418,7 @@ def find_cycle_near(
         if cycle_search_guaranteed(graph.n_vertices, graph.n_edges, k, g):
             raise InvariantError("density guarantee held but the dual search failed")
         return None
-    cycle = subtree_to_cycle(dual, found.vertices)
+    cycle = subtree_to_cycle(dual, found.ids)
     if not k - g + 1 <= cycle.length <= k:
         raise InvariantError(f"cycle length {cycle.length} outside [{k - g + 1}, {k}]")
     return cycle
@@ -444,6 +429,9 @@ def find_cycle_near(
 # ---------------------------------------------------------------------------
 
 
+_PAIR_BUDGET = 1 << 24  # pair slots is_three_connected may fill: 0.8 GB at 47 bytes each
+
+
 def is_three_connected(graph: PlaneGraph) -> bool:
     """Whether n >= 4 and no two vertices disconnect the graph, read off
     its faces.  With n >= 4 that holds iff deleting any vertex v leaves a
@@ -451,15 +439,20 @@ def is_three_connected(graph: PlaneGraph) -> bool:
     repeats a vertex.  The faces around v merge into one when v goes, with
     sum(len - 2) places, so v passes iff they hold that many distinct
     vertices other than v (fewer if a face walk repeats v).  Time and
-    memory grow with the sum of the squared face lengths."""
+    memory grow with the sum of the squared face lengths, one pair slot
+    each; above _PAIR_BUDGET slots it raises InstanceTooLargeError."""
     n, bounds = graph.n_vertices, graph._face_offsets
     if n < 4:
         return False
     lengths = np.diff(bounds)
+    slots = int((lengths ** 2).sum())
+    if slots > _PAIR_BUDGET:
+        raise InstanceTooLargeError(
+            f"3-connectivity test needs {slots} face place pairs; limit is {_PAIR_BUDGET}")
     at = _tails(graph.offsets)[graph._walk]  # the vertex at each place of the walk
     size = np.repeat(lengths, lengths)  # per place, the length of its face
     # Pair each place i with every place of its face, in size[i] slots.
-    j = np.arange(int(size.sum()))
+    j = np.arange(slots)
     j += np.repeat(np.repeat(bounds[:-1], lengths) - np.cumsum(size) + size, size)
     u, w = np.repeat(at, size), at[j]
     other = u != w
@@ -549,7 +542,7 @@ def _guaranteed_cycle(dual: DualTree, target: int, g: int, case: str) -> CycleRe
     found = find_subtree(dual.tree, target, g)
     if found is None:
         raise InvariantError(f"{case} must contain the target subtree")
-    return subtree_to_cycle(dual, found.vertices)
+    return subtree_to_cycle(dual, found.ids)
 
 
 # ---------------------------------------------------------------------------

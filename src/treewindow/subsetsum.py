@@ -103,7 +103,7 @@ def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
         return NOT_APPLICABLE
     result = find_subtree(path_tree(vals), k, 1)
     _require(result is not None, "dense thresholds hold but the path search failed")
-    indices = tuple(sorted(result.vertices))
+    indices = tuple(result.ids.tolist())
     _require(indices[-1] - indices[0] + 1 == len(indices), "path window not contiguous")
     return SubsetWitness(indices, result.weight)
 

@@ -18,7 +18,7 @@ neighbors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -474,22 +474,11 @@ class ConditionReport:
 
     @property
     def overall(self) -> bool:
-        return (
-            self.range_ok
-            and self.slack_ok
-            and self.lower_ok
-            and self.upper_ok
-            and self.cap_ok
-        )
+        return all(self.flags().values())
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "range_ok": self.range_ok,
-            "slack_ok": self.slack_ok,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "cap_ok": self.cap_ok,
-        }
+        """The five flags by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.endswith("_ok")}
 
 
 def check_conditions(tree: WeightedTree, k: int, g: int) -> ConditionReport:

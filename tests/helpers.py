@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from treewindow import (
     EmbeddingError,
     FormatError,
@@ -222,7 +224,7 @@ def oracle_find_subtree(tree, k, g, *, start=0, on_move=None):
         raise WeightExceedsTargetError(f"vertex weight {max(weights)} exceeds target {k}")
     low = k - g + 1
     if tree.n_vertices == 1:
-        return SubtreeResult(frozenset({0}), weights[0], (0, 0), 0) if low <= weights[0] <= k else None
+        return oracle_result([0], weights[0], (0, 0), 0) if low <= weights[0] <= k else None
     rho = [v for v, _ in oracle_walk(tree.adjacency)]
     length = len(rho)
     occ = [0] * tree.n_vertices
@@ -250,8 +252,12 @@ def oracle_find_subtree(tree, k, g, *, start=0, on_move=None):
             s = (s + 1) % length
             if on_move is not None:
                 on_move("shrink", s, t, weight)
-    inside = {v for v, n in enumerate(occ) if n}
-    return SubtreeResult(frozenset(inside), weight, (s, t), steps)
+    return oracle_result([v for v, n in enumerate(occ) if n], weight, (s, t), steps)
+
+
+def oracle_result(inside, weight, window, steps):
+    """A SubtreeResult whose ids are the sorted list inside, as int64."""
+    return SubtreeResult(np.array(inside, dtype=np.int64), weight, window, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +355,17 @@ def oracle_dual(adjacency, order, side):
     side_faces = tuple(faces[old] for old in ids)
     return (side_faces, tuple(map(tuple, rows)),
             [len(walk) - 2 for walk in side_faces], chord_of)
+
+
+def chord_of(dual) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each dual edge of a DualTree, as a sorted pair, to the chord it
+    crosses, also sorted: a dict view of dual.chords to compare with
+    oracle_dual's."""
+    tails = np.repeat(np.arange(dual.tree.n_vertices), np.diff(dual.tree.offsets))
+    heads = dual.tree.neighbors
+    up = tails < heads
+    return dict(zip(zip(tails[up].tolist(), heads[up].tolist()),
+                    map(tuple, np.sort(dual.chords[up], axis=1).tolist())))
 
 
 def oracle_boundary(faces, chosen):

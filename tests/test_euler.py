@@ -1,11 +1,13 @@
 """Closed walk construction and the windowed subtree search."""
 
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +114,7 @@ class TestFindSubtree:
         t = WeightedTree((4,), ((),))
         res = find_subtree(t, 5, 2)
         assert res is not None and res.vertices == {0} and res.steps == 0
+        assert res.ids.tolist() == [0] and res.ids.dtype == np.int64
         assert find_subtree(t, 5, 1) is None
 
     def test_overweight_vertex_refused(self):
@@ -167,6 +170,10 @@ class TestFindSubtree:
             find_subtree(inst.tree, inst.k, inst.g)
 
 
+def result_of(ids, weight: int) -> SubtreeResult:
+    return SubtreeResult(np.array(ids, dtype=np.int64), weight, (0, 0), 0)
+
+
 class TestVerifySubtree:
     @PROPERTY_SETTINGS
     @given(st.data())
@@ -174,14 +181,69 @@ class TestVerifySubtree:
         tree = data.draw(weighted_trees())
         chosen = data.draw(st.sets(st.integers(0, tree.n_vertices - 1), min_size=1))
         weight = sum(tree.weights[v] for v in chosen)
-        result = SubtreeResult(frozenset(chosen), weight, (0, 0), 0)
+        result = result_of(sorted(chosen), weight)
         assert verify_subtree(tree, result, weight, 1) == is_connected_in(tree, chosen)
 
     def test_rejects_wrong_weight_and_range(self):
         tree = path_tree((1, 2, 1))
-        assert not verify_subtree(tree, SubtreeResult(frozenset({0, 1}), 4, (0, 0), 0), 4, 1)
-        assert not verify_subtree(tree, SubtreeResult(frozenset({0, 1}), 3, (0, 0), 0), 5, 1)
-        assert not verify_subtree(tree, SubtreeResult(frozenset({3}), 1, (0, 0), 0), 1, 1)
+        assert not verify_subtree(tree, result_of([0, 1], 4), 4, 1)
+        assert not verify_subtree(tree, result_of([0, 1], 3), 5, 1)
+        assert not verify_subtree(tree, result_of([3], 1), 1, 1)
+
+    @pytest.mark.parametrize("ids", [
+        [1, 0],  # unsorted
+        [0, 1, 1],  # duplicate
+        [-2, 0],  # negative: tree.weights[-2] is vertex 1's weight
+        [1, 3],  # out of range
+        np.array([0.0, 1.0]),  # float
+        np.array([True, True]),  # bool
+        np.array([[0, 1]]),  # not flat
+        [],  # empty
+    ], ids=["unsorted", "duplicate", "negative", "out-of-range", "float", "bool",
+            "2d", "empty"])
+    def test_rejects_malformed_ids(self, ids):
+        # Vertices 0 and 1 weigh 3 together; only the form of ids is wrong.
+        tree = path_tree((1, 2, 1))
+        assert verify_subtree(tree, result_of([0, 1], 3), 3, 1)
+        ids = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=np.int64)
+        assert not verify_subtree(tree, SubtreeResult(ids, 3, (0, 0), 0), 3, 1)
+
+    def test_rejects_ids_that_are_not_an_array(self):
+        tree = path_tree((1, 2, 1))
+        assert not verify_subtree(tree, SubtreeResult([0, 1], 3, (0, 0), 0), 3, 1)
+
+
+class TestSubtreeResult:
+    @pytest.fixture(scope="class")
+    def found(self):
+        tree = random_tree(2000, 9, 4)
+        found = find_subtree(tree, tree.total_weight // 3, 1, start=99)
+        assert found is not None and len(found.ids) > 100
+        return found
+
+    def test_ids_are_a_sorted_read_only_int64_set(self, found):
+        ids = found.ids
+        assert ids.dtype == np.int64 and ids.ndim == 1
+        assert (np.diff(ids) > 0).all()
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 0
+
+    def test_vertices_view(self, found):
+        assert found.vertices == frozenset(found.ids.tolist())
+        assert json.dumps(sorted(found.vertices)) == json.dumps(found.ids.tolist())
+
+    def test_equal_and_hash_by_value(self, found):
+        twin = SubtreeResult(found.ids.copy(), found.weight, found.window, found.steps)
+        assert twin == found and hash(twin) == hash(found)
+        assert len({twin, found}) == 1
+        for other in (SubtreeResult(found.ids[1:], found.weight, found.window, found.steps),
+                      SubtreeResult(found.ids, found.weight + 1, found.window, found.steps),
+                      SubtreeResult(found.ids, found.weight, found.window, found.steps + 1)):
+            assert other != found
+        assert hash(SubtreeResult(found.ids[1:], found.weight, found.window,
+                                  found.steps)) != hash(found)
+        assert found != found.vertices
 
 
 class TestSearchProperties:
@@ -324,10 +386,25 @@ def test_small_query_allocates_little():
     assert peak < 64 * 1024
 
 
+def test_large_query_allocates_little():
+    """A large-k answer is one int64 array: no per-vertex Python object is
+    built unless a caller reads result.vertices."""
+    tree = random_tree(10**5, 9, 3)
+    find_subtree(tree, 20, 1)
+    tracemalloc.start()
+    try:
+        found = find_subtree(tree, tree.total_weight // 3, 1, start=12345)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None and len(found.ids) > 20000
+    assert peak < 1 << 20
+
+
 _OPTIMIZED_SWEEP = """
 import sys
 import treewindow.subsetsum as subsetsum
-from treewindow import (InvariantError, check_conditions, find_subtree,
+from treewindow import (InvariantError, SubtreeResult, check_conditions, find_subtree,
                         subset_sum_dense, verify_subtree)
 from treewindow.generators import random_tree
 
@@ -353,6 +430,10 @@ for k, g, start in ((half, 1, 0), (half + 1, 8, 20001), (half // 2, 3, 39997)):
     if found is None or not verify_subtree(tree, found, k, g):
         sys.exit(f"guarantee broken: k {k}, g {g}, start {start}")
     searched += 1
+
+# Unsorted ids are refused under -O too.
+if verify_subtree(tree, SubtreeResult(found.ids[::-1], found.weight, found.window, 0), k, g):
+    sys.exit("unsorted ids passed the verifier")
 
 # A search that breaks its guarantee must still raise under -O.
 subsetsum.find_subtree = lambda *args, **kwargs: None

@@ -2,16 +2,19 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treewindow.planar as planar_module
 from treewindow import (
     CycleResult,
     EmbeddingError,
     FormatError,
     HamiltonCycle,
+    InstanceTooLargeError,
     NotHamiltonianError,
     PlaneGraph,
     PreconditionError,
@@ -37,6 +40,7 @@ from treewindow.generators import (
 )
 from helpers import (
     FUZZ_TOKENS,
+    chord_of,
     naive_cycle_lengths,
     oracle_boundary,
     oracle_dual,
@@ -107,7 +111,7 @@ class TestPlaneGraph:
 
     def test_edges_and_degree(self):
         graph, _ = square_cycle(8)
-        assert len(graph.edges()) == graph.n_edges == 16
+        assert len(graph.neighbors) == 2 * graph.n_edges == 32
         assert all(graph.degree(v) == 4 for v in range(8))
 
 
@@ -126,9 +130,9 @@ class TestHamiltonCycle:
         with pytest.raises(NotHamiltonianError, match="not an edge"):
             HamiltonCycle((0, 3, 1, 2, 4, 5)).validate(graph)
 
-    def test_positions_and_edges(self):
+    def test_order(self):
         ham = HamiltonCycle((2, 0, 1))
-        assert ham.positions() == {2: 0, 0: 1, 1: 2}
+        assert ham.order == (2, 0, 1)
 
 
 class TestSplit:
@@ -182,7 +186,7 @@ class TestDualTree:
         graph, ham = square_cycle(8)
         split = split_by_hamilton(graph, ham)
         dual = build_dual_tree(graph, ham, "interior")
-        assert set(dual.chord_of.values()) == set(split.interior)
+        assert set(chord_of(dual).values()) == set(split.interior)
 
     def test_fanned_interior_is_all_triangles(self):
         graph, ham = square_cycle_fanned(8)
@@ -337,6 +341,26 @@ class TestThreeConnected:
     def test_families_match_oracle(self, name):
         graph, _ = _SMALL_GRAPHS[name]()
         assert is_three_connected(graph) == oracle_is_three_connected(graph.adjacency)
+
+    def test_long_faces_refused_before_allocating(self):
+        graph, _ = square_cycle(20000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLargeError, match="needs 200180000 face place pairs"):
+                is_three_connected(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pair_budget_boundary(self, monkeypatch):
+        graph, _ = square_cycle(40)  # two faces of 20 places, 40 triangles
+        slots = 2 * 20**2 + 40 * 3**2
+        monkeypatch.setattr(planar_module, "_PAIR_BUDGET", slots)
+        assert is_three_connected(graph)
+        monkeypatch.setattr(planar_module, "_PAIR_BUDGET", slots - 1)
+        with pytest.raises(InstanceTooLargeError):
+            is_three_connected(graph)
 
 
 def _drop_edges(rng, rows):
@@ -648,11 +672,11 @@ def test_planar_matches_oracles(n, seed, data):
     assert (split.interior, split.exterior) == oracle_split(rows, order)
     for side, chords in (("interior", split.interior), ("exterior", split.exterior)):
         dual = build_dual_tree(graph, ham, side)
-        faces, dual_rows, weights, chord_of = oracle_dual(rows, order, side)
+        faces, dual_rows, weights, oracle_chords = oracle_dual(rows, order, side)
         assert _same_faces(dual.faces, faces, not chords)
         assert dual.tree.adjacency == dual_rows
         assert dual.tree.weights.tolist() == weights
-        assert dual.chord_of == chord_of
+        assert chord_of(dual) == oracle_chords
         k = data.draw(st.integers(dual.tree.max_weight, n - 2), label="k")
         found = find_subtree(dual.tree, k, data.draw(st.integers(1, 3), label="g"))
         if found is None:
