@@ -183,20 +183,15 @@ def _solve_subset_sum(values: tuple[int, ...], k: int, fallback: bool):
     if res is not NOT_APPLICABLE:
         return True, res, "dense"
 
-    total = sum(values)
-    if 2 * k <= total:
-        via = subset_sum_via_partition(values, k)
-        if via is not NOT_APPLICABLE:
-            return via.value, via.witness, "via-partition"
-    elif k <= total:
-        # A subset sums to k exactly when its complement sums to total - k.
-        via = subset_sum_via_partition(values, total - k)
-        if via is not NOT_APPLICABLE:
-            witness = None
-            if via.witness is not None:
-                rest = sorted(set(range(len(values))) - set(via.witness.indices))
-                witness = SubsetWitness(tuple(rest), k)
-            return via.value, witness, "via-partition"
+    # A subset sums to k exactly when its complement sums to total - k.
+    half = min(k, sum(values) - k)
+    via = subset_sum_via_partition(values, half)
+    if via is not NOT_APPLICABLE:
+        witness = via.witness
+        if witness is not None and half != k:
+            rest = sorted(set(range(len(values))) - set(witness.indices))
+            witness = SubsetWitness(tuple(rest), k)
+        return via.value, witness, "via-partition"
 
     if fallback:
         wit = oracle_subset_sum(values, k)

@@ -54,18 +54,15 @@ def convex_embedding(
     drawn inside respectively outside.  At each vertex the rotation is:
     ring successor, interior chords by ascending hop length, ring
     predecessor, exterior chords by descending hop length."""
-    int_at: list[list[int]] = [[] for _ in range(n)]
-    ext_at: list[list[int]] = [[] for _ in range(n)]
-    for a, b in interior:
-        int_at[a].append(b)
-        int_at[b].append(a)
-    for a, b in exterior:
-        ext_at[a].append(b)
-        ext_at[b].append(a)
+    at: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
+    for side, chords in enumerate((interior, exterior)):
+        for a, b in chords:
+            at[a][side].append(b)
+            at[b][side].append(a)
     rows = []
-    for v in range(n):
-        ins = sorted(int_at[v], key=lambda w: (w - v) % n)
-        outs = sorted(ext_at[v], key=lambda w: -((w - v) % n))
+    for v, (ins, outs) in enumerate(at):
+        ins = sorted(ins, key=lambda w: (w - v) % n)
+        outs = sorted(outs, key=lambda w: -((w - v) % n))
         rows.append(tuple([(v + 1) % n] + ins + [(v - 1) % n] + outs))
     return PlaneGraph(tuple(rows)), HamiltonCycle(tuple(range(n)))
 

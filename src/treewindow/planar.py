@@ -2,12 +2,13 @@
 
 A plane graph is a rotation system (ordered neighbor lists), stored like a
 tree as int64 CSR arrays.  Building one walks every face once; the rest is
-read off that walk and the hamilton positions with whole-array operations.  A hamilton cycle drawn in the plane splits
-the other edges (chords) into two regions, and each region's faces form a
-tree under adjacency across chords.  With face weight length - 2, the
-boundary of a connected face set S is a cycle of length weight(S) + 2.
-That turns "find a cycle of length near k" into "find a subtree of weight
-near k-2", which the window search answers in linear time.
+read off that walk and the hamilton positions with whole-array
+operations.  A hamilton cycle drawn in the plane splits the other edges
+(chords) into two regions, and each region's faces form a tree under
+adjacency across chords.  With face weight length - 2, the boundary of a
+connected face set S is a cycle of length weight(S) + 2.  That turns "find
+a cycle of length near k" into "find a subtree of weight near k-2", which
+the window search answers in linear time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import (
     EmbeddingError,
     FormatError,
-    InstanceTooLargeError,
     InvariantError,
     NotHamiltonianError,
     PreconditionError,
@@ -429,48 +429,47 @@ def find_cycle_near(
 # ---------------------------------------------------------------------------
 
 
-_PAIR_BUDGET = 1 << 24  # pair slots is_three_connected may fill: 0.8 GB at 47 bytes each
-
-
 def is_three_connected(graph: PlaneGraph) -> bool:
-    """Whether n >= 4 and no two vertices disconnect the graph, read off
-    its faces.  With n >= 4 that holds iff deleting any vertex v leaves a
-    2-connected graph, and a plane graph is 2-connected iff no face walk
-    repeats a vertex.  The faces around v merge into one when v goes, with
-    sum(len - 2) places, so v passes iff they hold that many distinct
-    vertices other than v (fewer if a face walk repeats v).  Time and
-    memory grow with the sum of the squared face lengths, one pair slot
-    each; above _PAIR_BUDGET slots it raises InstanceTooLargeError."""
-    n, bounds = graph.n_vertices, graph._face_offsets
+    """Whether n >= 4 and no two vertices disconnect the graph.
+
+    A plane graph has no cut vertex iff no face walk repeats a vertex.
+    Then each edge vw closes exactly one 4-cycle v f w f' in the
+    vertex-face incidence graph, through its two faces f and f'; any other
+    4-cycle is a closed curve through two vertices v and w with vertices
+    on both sides, so {v, w} is a 2-cut.  So the graph is 3-connected iff
+    the incidence graph has exactly m 4-cycles.  They are counted as in
+    Chiba and Nishizeki, "Arboricity and subgraph listing algorithms"
+    (1985): with the nodes ranked by degree, each 4-cycle once from its
+    top node x, over the wedges x-y-z whose y and z rank below x.  Edge
+    x-y then adds deg(y) = min(deg(x), deg(y)) wedges, which sums to O(m)
+    over a plane graph."""
+    n, walk, bounds = graph.n_vertices, graph._walk, graph._face_offsets
     if n < 4:
         return False
+    # The incidence graph in CSR form: vertex v's faces, one per dart, then
+    # face i's vertices, one per place of its walk.
     lengths = np.diff(bounds)
-    slots = int((lengths ** 2).sum())
-    if slots > _PAIR_BUDGET:
-        raise InstanceTooLargeError(
-            f"3-connectivity test needs {slots} face place pairs; limit is {_PAIR_BUDGET}")
-    at = _tails(graph.offsets)[graph._walk]  # the vertex at each place of the walk
-    size = np.repeat(lengths, lengths)  # per place, the length of its face
-    # Pair each place i with every place of its face, in size[i] slots.
-    j = np.arange(slots)
-    j += np.repeat(np.repeat(bounds[:-1], lengths) - np.cumsum(size) + size, size)
-    u, w = np.repeat(at, size), at[j]
-    other = u != w
-    pairs = np.sort(u[other] * n + w[other])  # np.unique is far slower on int64
-    firsts = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
-    return np.array_equal(np.bincount(firsts // n, minlength=n),
-                          np.bincount(at, size - 2, minlength=n))
+    faces_of = np.empty_like(walk)
+    faces_of[walk] = np.repeat(np.arange(n, n + len(lengths)), lengths)
+    neighbors = np.r_[faces_of, _tails(graph.offsets)[walk]]
+    offsets = np.r_[graph.offsets, len(walk) + bounds[1:]]
+    degree = np.diff(offsets)
+    rank = np.empty_like(degree)
+    rank[np.argsort(degree, kind="stable")] = np.arange(len(degree))
 
-
-def _square_cycle_positions(length: int) -> list[int]:
-    """A cycle of the given length in the square of a cycle, by hop pattern:
-    walk up the even positions, come back down the odd ones (or the other
-    way around for even lengths).  Valid whenever 3 <= length < n."""
-    if length % 2:
-        a = (length - 1) // 2
-        return list(range(0, 2 * a + 1, 2)) + list(range(2 * a - 1, 0, -2))
-    a = (length - 2) // 2
-    return [0] + list(range(1, 2 * a + 2, 2)) + list(range(2 * a, 1, -2))
+    x = np.repeat(rank, degree)
+    down = rank[neighbors] < x  # the edges x-y with y below x
+    x, y = x[down], neighbors[down]
+    size = degree[y]
+    z = np.arange(size.sum()) + np.repeat(offsets[y] - np.cumsum(size) + size, size)
+    x, z = np.repeat(x, size), rank[neighbors[z]]
+    # A face walk through v k times lists v k times in its face's row and
+    # the face k times in v's, so their edge leads back to x k * k times.
+    if np.count_nonzero(z == x) != len(y):
+        return False  # a face walk repeats a vertex, which is a cut vertex
+    keys = np.sort((x * len(rank) + z)[z < x])  # one per wedge x-y-z
+    runs = np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True]))
+    return int((runs * (runs - 1) // 2).sum()) == graph.n_edges
 
 
 def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
@@ -487,7 +486,8 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
       * otherwise both regions have exactly 3n/2 edges (so the graph is
         4-regular); if one of them has only faces shorter than n/2,
         search that side as above.  If both contain a face of length n/2,
-        the graph is the square of a cycle, and an explicit hop-pattern
+        the graph is the square of a cycle, whose cycle of hops 1 is read
+        off the faces (it need not be ham), and an explicit hop-pattern
         cycle of length n/2 - 1 is returned.
     """
     n = graph.n_vertices
@@ -520,21 +520,31 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     if exterior.tree.max_weight <= cap:
         return _guaranteed_cycle(exterior, target, 2, "small exterior faces")
 
-    # Both regions contain a face of length n/2: the only graph consistent
-    # with that is the square of a cycle.  Verify via the hamilton
-    # labeling and construct the cycle directly.
-    position = np.empty(n, dtype=np.int64)
-    position[sides[0]] = np.arange(n)
-    hops = (position[graph.neighbors] - position[_tails(graph.offsets)]) % n
-    if graph.n_edges != 2 * n or not np.isin(hops, (1, 2, n - 2, n - 1)).all():
+    # Both regions now hold one face of length n/2 and n/2 triangles, which
+    # makes the graph the square of a cycle, though ham need not be its
+    # cycle of hops 1.  A long face runs along the even places of that
+    # cycle, and the face across its edge from place 2i to 2i + 2 is a
+    # triangle with third vertex at place 2i + 1.
+    walk, bounds = graph._walk, graph._face_offsets
+    longest = int(np.argmax(np.diff(bounds)))
+    darts = walk[bounds[longest]:bounds[longest + 1]]
+    succ = _successor(graph.offsets, graph.neighbors, graph._reverse.copy())
+    third = graph.neighbors[succ[graph._reverse[darts]]]  # per edge of the long face
+    order = np.c_[_tails(graph.offsets)[darts], third].ravel()
+    # With 2n edges, the graph is the square of order iff order and its
+    # even and odd places are cycles of it.
+    if graph.n_edges != 2 * n or any(
+            len(_cycle_darts(graph, seq)) != len(seq) for seq in (order, order[::2], order[1::2])):
         raise StructureError(
             "both regions have a half-length face, yet the graph is not "
             "the square of a cycle; input contradicts the theory"
         )
-    walk = [ham.order[p] for p in _square_cycle_positions(n // 2 - 1)]
-    cycle = CycleResult(tuple(walk))
+    # The boundary of the first n/2 - 3 triangles: up the even places and
+    # back down the odd ones.
+    length = n // 2 - 1
+    cycle = CycleResult(tuple(order[np.r_[0:length:2, length - 1 - length % 2:0:-2]].tolist()))
     if not verify_cycle(graph, cycle):
-        raise InvariantError(f"hop-pattern walk {walk} is not a cycle")
+        raise InvariantError(f"hop-pattern walk {cycle.vertices} is not a cycle")
     return cycle
 
 

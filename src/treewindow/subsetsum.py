@@ -185,10 +185,12 @@ def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
 
 
 def oracle_subset_sum(values, k: int) -> SubsetWitness | None:
-    """Exact decision by pseudo-polynomial DP, with witness back-pointers.
+    """Exact decision by pseudo-polynomial DP, with a witness.
 
-    Ground truth for the dense solvers; refuses instances whose N * total
-    table would exceed ORACLE_CELL_BOUND.
+    Ground truth for the dense solvers.  The sums reachable with each
+    prefix of the values are one bitmask integer, and the witness is read
+    back from those masks; refuses instances whose N * total table would
+    exceed ORACLE_CELL_BOUND.
     """
     vals = _check_values(values)
     if k < 0:
@@ -201,19 +203,15 @@ def oracle_subset_sum(values, k: int) -> SubsetWitness | None:
         )
     if k > total:
         return None
-    # parent[s] = (previous sum, element index used to reach s)
-    parent: dict[int, tuple[int, int] | None] = {0: None}
-    for i, a in enumerate(vals):
-        for s in list(parent):
-            t = s + a
-            if t <= k and t not in parent:
-                parent[t] = (s, i)
-    if k not in parent:
+    below = (2 << k) - 1  # the sums 0..k
+    masks = [1]  # masks[i]: the sums reachable with vals[:i]
+    for a in vals:
+        masks.append((masks[-1] | masks[-1] << a) & below)
+    if not masks[-1] >> k & 1:
         return None
-    indices = []
-    s = k
-    while parent[s] is not None:
-        s, i = parent[s]
-        indices.append(i)
-    indices.reverse()
-    return SubsetWitness(tuple(indices), k)
+    indices, s = [], k
+    for i in reversed(range(n)):
+        if not masks[i] >> s & 1:  # s needs vals[i]
+            s -= vals[i]
+            indices.append(i)
+    return SubsetWitness(tuple(reversed(indices)), k)

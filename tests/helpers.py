@@ -403,30 +403,58 @@ def oracle_verify_cycle(adjacency, seq) -> bool:
     return all(seq[i - 1] in adjacency[seq[i]] for i in range(len(seq)))
 
 
+def _crosses(a, b, chords) -> bool:
+    """Whether chord (a, b), a < b, of a convex polygon crosses one of chords."""
+    return any(a < c < b < d or c < a < d < b for c, d in chords)
+
+
 def _noncrossing_chords(rng, n, taken):
     """A random set of pairwise non-crossing chords of the convex n-gon
     0..n-1, none of them in taken."""
     chords = []
     for _ in range(rng.randrange(2 * n)):
         a, b = sorted(rng.sample(range(n), 2))
-        if b - a in (1, n - 1) or (a, b) in taken or any(
-                a < c < b < d or c < a < d < b for c, d in chords):
+        if b - a in (1, n - 1) or (a, b) in taken or _crosses(a, b, chords):
             continue
         taken.add((a, b))
         chords.append((a, b))
     return chords
 
 
-def random_plane_hamiltonian(rng, n):
-    """(rows, hamilton order) of a random plane hamiltonian graph: random
-    non-crossing chords inside and outside a convex n-gon, then a random
-    relabelling, mirror image and rotation of each row, and a random start
-    and direction of the cycle."""
+def min_degree_chords(rng, n):
+    """Non-crossing chords inside and outside the convex n-gon 0..n-1,
+    drawn toward minimum degree 4: while a vertex has degree < 4, one of
+    lowest degree gets a chord, on either side, to a vertex of lowest
+    degree among those it reaches without a crossing.  Stops early when
+    that vertex reaches none."""
+    sides, degree = ([], []), [2] * n
+    while min(degree) < 4:
+        a = min(range(n), key=lambda v: (degree[v], rng.random()))
+        options = [(degree[b], rng.random(), chord, side)
+                   for side in sides for b in range(n) for chord in [tuple(sorted((a, b)))]
+                   if (b - a) % n not in (0, 1, n - 1)
+                   and chord not in sides[0] + sides[1] and not _crosses(*chord, side)]
+        if not options:
+            break
+        _, _, (a, b), side = min(options)
+        side.append((a, b))
+        degree[a] += 1
+        degree[b] += 1
+    return sides
+
+
+def random_plane_hamiltonian(rng, n, chords=None):
+    """(rows, hamilton order) of a random plane hamiltonian graph: chords
+    (inside, outside) of a convex n-gon, random non-crossing ones unless
+    given, then a random relabelling, mirror image and rotation of each
+    row, and a random start and direction of the cycle."""
     from treewindow.generators import convex_embedding
 
-    taken = set()
-    inside = _noncrossing_chords(rng, n, taken)
-    graph, _ = convex_embedding(n, inside, _noncrossing_chords(rng, n, taken))
+    if chords is None:
+        taken = set()
+        inside = _noncrossing_chords(rng, n, taken)
+        chords = inside, _noncrossing_chords(rng, n, taken)
+    graph, _ = convex_embedding(n, *chords)
     label = rng.sample(range(n), n)
     mirror = rng.random() < 0.5
     rows = [()] * n
@@ -456,3 +484,30 @@ def oracle_is_three_connected(rows) -> bool:
         return len(seen) == len(rest)
 
     return n >= 4 and all(connected_without({a, b}) for a in range(n) for b in range(a, n))
+
+
+def oracle_face_pairs_three_connected(graph) -> bool:
+    """is_three_connected by an earlier face test, for small plane graphs.
+
+    With n >= 4 a graph is 3-connected iff deleting any vertex v leaves a
+    2-connected graph, and a plane graph is 2-connected iff no face walk
+    repeats a vertex.  The faces around v merge into one when v goes, with
+    sum(len - 2) places, so v passes iff they hold that many distinct
+    vertices other than v (fewer if a face walk repeats v).  Time and
+    memory grow with the sum of the squared face lengths, one pair per two
+    places of a face."""
+    n, bounds = graph.n_vertices, graph._face_offsets
+    if n < 4:
+        return False
+    lengths = np.diff(bounds)
+    at = np.repeat(np.arange(n), np.diff(graph.offsets))[graph._walk]  # per place
+    size = np.repeat(lengths, lengths)  # per place, the length of its face
+    # Pair each place i with every place of its face, in size[i] slots.
+    j = np.arange(int((lengths ** 2).sum()))
+    j += np.repeat(np.repeat(bounds[:-1], lengths) - np.cumsum(size) + size, size)
+    u, w = np.repeat(at, size), at[j]
+    other = u != w
+    pairs = np.sort(u[other] * n + w[other])
+    firsts = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    return np.array_equal(np.bincount(firsts // n, minlength=n),
+                          np.bincount(at, size - 2, minlength=n))

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import treewindow.planar as planar_module
 from treewindow import (
     CycleResult,
     EmbeddingError,
     FormatError,
     HamiltonCycle,
-    InstanceTooLargeError,
     NotHamiltonianError,
     PlaneGraph,
     PreconditionError,
@@ -41,9 +39,11 @@ from treewindow.generators import (
 from helpers import (
     FUZZ_TOKENS,
     chord_of,
+    min_degree_chords,
     naive_cycle_lengths,
     oracle_boundary,
     oracle_dual,
+    oracle_face_pairs_three_connected,
     oracle_is_three_connected,
     oracle_parse_graph,
     oracle_split,
@@ -337,30 +337,30 @@ class TestThreeConnected:
         graph, _ = ring_graph(3)
         assert not is_three_connected(graph)
 
+    def test_pendant_vertex(self):
+        # Vertex 0 hangs off vertex 4: the face around it repeats 4, and
+        # the incidence graph alone would have exactly m 4-cycles.
+        graph = PlaneGraph(((4,), (2, 5, 3), (1, 4), (1, 5), (2, 0), (3, 1)))
+        assert not is_three_connected(graph)
+
     @pytest.mark.parametrize("name", sorted(_SMALL_GRAPHS))
     def test_families_match_oracle(self, name):
         graph, _ = _SMALL_GRAPHS[name]()
-        assert is_three_connected(graph) == oracle_is_three_connected(graph.adjacency)
+        expected = oracle_is_three_connected(graph.adjacency)
+        assert is_three_connected(graph) == oracle_face_pairs_three_connected(graph) == expected
 
-    def test_long_faces_refused_before_allocating(self):
-        graph, _ = square_cycle(20000)
+    @pytest.mark.parametrize("family", [square_cycle, square_cycle_fanned])
+    def test_linear_memory(self, family):
+        # Two faces of 10,000 places, or a hub of degree about 20,000: the
+        # face-pair test would need about 9 GB on the first.
+        graph, _ = family(20000)
         tracemalloc.start()
         try:
-            with pytest.raises(InstanceTooLargeError, match="needs 200180000 face place pairs"):
-                is_three_connected(graph)
+            assert is_three_connected(graph)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_pair_budget_boundary(self, monkeypatch):
-        graph, _ = square_cycle(40)  # two faces of 20 places, 40 triangles
-        slots = 2 * 20**2 + 40 * 3**2
-        monkeypatch.setattr(planar_module, "_PAIR_BUDGET", slots)
-        assert is_three_connected(graph)
-        monkeypatch.setattr(planar_module, "_PAIR_BUDGET", slots - 1)
-        with pytest.raises(InstanceTooLargeError):
-            is_three_connected(graph)
+        assert peak < 64 << 20
 
 
 def _drop_edges(rng, rows):
@@ -378,10 +378,13 @@ def _drop_edges(rng, rows):
 
 def _random_plane_graphs(seed, count):
     """PlaneGraphs from random_plane_hamiltonian with n = 4-20, half of them
-    with edges dropped; inputs PlaneGraph rejects are skipped."""
+    with chords drawn toward minimum degree 4 (mostly 3-connected), and
+    half of all with edges dropped; inputs PlaneGraph rejects are skipped."""
     rng = random.Random(seed)
     for _ in range(count):
-        rows, _ = random_plane_hamiltonian(rng, rng.randint(4, 20))
+        n = rng.randint(4, 20)
+        chords = min_degree_chords(rng, n) if rng.random() < 0.5 else None
+        rows, _ = random_plane_hamiltonian(rng, n, chords)
         if rng.random() < 0.5:
             rows = _drop_edges(rng, rows)
         try:
@@ -394,7 +397,9 @@ def _random_plane_graphs(seed, count):
 @given(st.integers(0, 2**32 - 1))
 def test_three_connected_matches_oracle(seed):
     for graph, rows in _random_plane_graphs(seed, 3):
-        assert is_three_connected(graph) == oracle_is_three_connected(rows), rows
+        expected = oracle_is_three_connected(rows)
+        assert oracle_face_pairs_three_connected(graph) == expected, rows
+        assert is_three_connected(graph) == expected, rows
 
 
 def test_three_connected_matches_networkx():
@@ -430,15 +435,20 @@ class TestFindHalfCycle:
         assert verify_cycle(graph, cycle)
 
     def test_square_of_cycle_branch(self):
-        graph, ham = square_cycle(14)
-        interior = build_dual_tree(graph, ham, "interior")
-        exterior = build_dual_tree(graph, ham, "exterior")
-        cap = 14 // 2 - 3
-        assert max(interior.tree.weights) > cap
-        assert max(exterior.tree.weights) > cap
-        cycle = find_half_cycle_3conn(graph, ham)
-        assert cycle.length == 6
-        assert verify_cycle(graph, cycle)
+        # The square of a 14-cycle again, along another hamilton cycle with
+        # hops other than 1 and 2: the square's own cycle comes off the faces.
+        relabelled = convex_embedding(
+            14, [(2, 5), (6, 9), (0, 10), (2, 4), (6, 8), (10, 12), (0, 12)],
+            [(4, 7), (8, 11), (3, 13), (5, 7), (9, 11), (1, 13), (1, 3)])
+        for graph, ham in (square_cycle(14), relabelled):
+            interior = build_dual_tree(graph, ham, "interior")
+            exterior = build_dual_tree(graph, ham, "exterior")
+            cap = 14 // 2 - 3
+            assert max(interior.tree.weights) > cap
+            assert max(exterior.tree.weights) > cap
+            cycle = find_half_cycle_3conn(graph, ham)
+            assert cycle.length == 6
+            assert verify_cycle(graph, cycle)
 
     def test_exterior_fallback_branch(self):
         # The tied-split shape whose long face sits in the interior while
@@ -487,6 +497,25 @@ class TestFindHalfCycle:
         graph, ham = malkevitch(2)
         with pytest.raises(PreconditionError, match="3-connected"):
             find_half_cycle_3conn(graph, ham)
+
+
+def test_half_cycle_on_random_graphs():
+    """Every random sample that meets the hypotheses of
+    find_half_cycle_3conn (even n >= 8, minimum degree 4, 3-connected) gets
+    a verified cycle of length n/2 - 1 or n/2 - 2."""
+    rng = random.Random(15)
+    qualified = 0
+    for _ in range(200):
+        n = rng.randrange(8, 25, 2)
+        rows, order = random_plane_hamiltonian(rng, n, min_degree_chords(rng, n))
+        graph = PlaneGraph(rows)
+        if min(map(len, rows)) < 4 or not is_three_connected(graph):
+            continue
+        qualified += 1
+        cycle = find_half_cycle_3conn(graph, HamiltonCycle(order))
+        assert verify_cycle(graph, cycle), rows
+        assert cycle.length in (n // 2 - 1, n // 2 - 2), rows
+    assert qualified >= 20
 
 
 class TestGraphFormat:
