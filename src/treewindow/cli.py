@@ -182,16 +182,9 @@ def _solve_subset_sum(values: tuple[int, ...], k: int, fallback: bool):
     res = subset_sum_dense(values, k)
     if res is not NOT_APPLICABLE:
         return True, res, "dense"
-
-    # A subset sums to k exactly when its complement sums to total - k.
-    half = min(k, sum(values) - k)
-    via = subset_sum_via_partition(values, half)
+    via = subset_sum_via_partition(values, k)
     if via is not NOT_APPLICABLE:
-        witness = via.witness
-        if witness is not None and half != k:
-            rest = sorted(set(range(len(values))) - set(witness.indices))
-            witness = SubsetWitness(tuple(rest), k)
-        return via.value, witness, "via-partition"
+        return via.value, via.witness, "via-partition"
 
     if fallback:
         wit = oracle_subset_sum(values, k)
@@ -228,10 +221,12 @@ def _cmd_subset_sum(args):
         decision, witness = ((None, None) if res is NOT_APPLICABLE
                              else (res.value, res.witness))
     else:
-        if args.k is None:
-            raise ValueError("subset-sum needs a target k (or --partition)")
-        if args.k > sum(values):
-            decision, witness, method = False, None, "trivial"
+        if args.k is None or args.k < 0:
+            raise ValueError("subset-sum needs a target k >= 0 (or --partition)")
+        if args.k == 0 or args.k >= sum(values):  # the empty set, every index, or none
+            decision, method = args.k <= sum(values), "trivial"
+            indices = tuple(range(len(values))) if args.k else ()
+            witness = SubsetWitness(indices, args.k) if decision else None
         else:
             decision, witness, method = _solve_subset_sum(
                 values, args.k, args.fallback_oracle

@@ -65,6 +65,10 @@ class PlaneGraph(_Rotation):
 
     def __init__(self, adjacency) -> None:
         _plane_graph(*_csr(adjacency, EmbeddingError), self)
+        # Euler's formula alone passes a disconnected union with a non-planar
+        # part.  parse_graph needs no walk: its hamilton cycle spans the graph.
+        if not _connected(self.offsets, self.neighbors):
+            raise EmbeddingError("graph is disconnected")
 
     @property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -88,16 +92,14 @@ def _connected(offsets, neighbors) -> bool:
 
 
 def _plane_graph(offsets, neighbors, graph=None) -> PlaneGraph:
-    """Validate int64 CSR arrays as a plane graph and walk its faces; the
-    arrays and the walk go into graph, a new PlaneGraph unless given."""
+    """Validate int64 CSR arrays as a plane graph (all but connectivity)
+    and walk its faces; the arrays and the walk go into graph, a new
+    PlaneGraph unless given."""
     graph = PlaneGraph.__new__(PlaneGraph) if graph is None else graph
     n = len(offsets) - 1
     if n < 3:
         raise EmbeddingError(f"plane graph needs >= 3 vertices, got {n}")
     reverse = _pair_darts(offsets, neighbors, EmbeddingError)
-    # Euler's formula alone passes a disconnected union with a non-planar part.
-    if not _connected(offsets, neighbors):
-        raise EmbeddingError("graph is disconnected")
 
     # The faces are the successor orbits; walk each from its smallest dart,
     # so they come in order of that dart.
@@ -528,8 +530,8 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     walk, bounds = graph._walk, graph._face_offsets
     longest = int(np.argmax(np.diff(bounds)))
     darts = walk[bounds[longest]:bounds[longest + 1]]
-    succ = _successor(graph.offsets, graph.neighbors, graph._reverse.copy())
-    third = graph.neighbors[succ[graph._reverse[darts]]]  # per edge of the long face
+    r = graph._reverse[darts]
+    third = graph.neighbors[_successor(graph.offsets, graph.neighbors[r], graph._reverse[r])]
     order = np.c_[_tails(graph.offsets)[darts], third].ravel()
     # With 2n edges, the graph is the square of order iff order and its
     # even and odd places are cycles of it.

@@ -130,54 +130,41 @@ def partition_dense(values) -> Decision | _NotApplicableType:
 
 
 def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
-    """Subset of sum k via the Partition reduction, for N >= total - k.
+    """Subset of sum k via the Partition reduction, for 1 <= k < total and
+    N >= big = max(k, total - k).
 
-    Requires k <= total/2 (ValueError otherwise).  Within the threshold
-    the answer is yes if and only if no element exceeds total - k; a
-    witness is recovered by solving Partition on the input extended with
-    one element of value total - 2k and dropping that element from
-    whichever side it landed on.
+    Within that threshold the answer is yes if and only if no element
+    exceeds big.  A witness is recovered from a half of sum big of the
+    input padded with one element of value |total - 2k| (no pad when that
+    is 0), which subset_sum_dense finds: the half holding the pad, less
+    the pad, when 2k < total, and the other half otherwise (the classic
+    reduction, Garey and Johnson 1979).
 
     One boundary case is excluded and reported NOT_APPLICABLE: total == 2k
-    with N == k exactly, where no element can be added and the Partition
-    threshold is out of reach.  The yes-iff-small-elements equivalence is
-    false there ((2, 2, 2) with k = 3 is a counterexample), so no linear
-    answer is available.
+    with N == k exactly, where there is no pad and the instance falls one
+    element short of the dense thresholds.  The yes-iff-small-elements
+    equivalence is false there ((2, 2, 2) with k = 3 is a counterexample),
+    so no linear answer is available.
     """
     vals = _check_values(values)
-    if k < 1:
-        raise ValueError(f"target k must be >= 1, got {k}")
-    n = len(vals)
-    total = sum(vals)
-    if 2 * k > total:
-        raise ValueError(f"target {k} exceeds half the total {total}")
-    if n < total - k:
+    n, total = len(vals), sum(vals)
+    if not 1 <= k < total:
+        raise ValueError(f"target k must satisfy 1 <= k < total = {total}, got {k}")
+    big, pad = max(k, total - k), total - 2 * k
+    if n < big:
         return NOT_APPLICABLE
-    if max(vals) > total - k:
+    if max(vals) > big:
         return Decision(False, None)
-
-    extra = total - 2 * k
-    if extra == 0:
-        # Nothing to add (zero elements are not representable); Partition
-        # of the input itself is the same question.
-        part = partition_dense(vals)
-        if isinstance(part, Decision):
-            _require(part.value and part.witness is not None,
-                     "partition of an instance in band must be true")
-            return Decision(True, part.witness)
-        # N == total - k == k exactly: the reduction falls one element
-        # short of the Partition threshold, and the equivalence genuinely
-        # breaks here: (2, 2, 2) with k = 3 meets every other hypothesis
-        # yet has no subset of sum 3.  Refuse rather than guess.
+    if total == 2 * n == 2 * k:
         return NOT_APPLICABLE
 
-    part = partition_dense(vals + (extra,))
-    _require(isinstance(part, Decision) and part.value and part.witness is not None,
-             "via-partition threshold implies the partition threshold")
-    chosen = set(part.witness.indices)
-    if n in chosen:  # added element landed inside the witness half
-        indices = tuple(sorted(chosen - {n}))
-    else:  # it landed in the other half; take that half's remainder
+    half = subset_sum_dense(vals + (abs(pad),) if pad else vals, big)
+    _require(isinstance(half, SubsetWitness),
+             "via-partition threshold implies the dense thresholds")
+    chosen = set(half.indices)
+    if (n in chosen) == (pad > 0):  # this half is the witness, less the pad
+        indices = tuple(i for i in half.indices if i != n)
+    else:  # the other half is
         indices = tuple(i for i in range(n) if i not in chosen)
     witness = SubsetWitness(indices, sum(vals[i] for i in indices))
     _require(witness.total == k, "back-mapped witness must sum to k")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,12 @@ _GOLDEN = {
         '{"input_digest": "3654b5d75e05", "outcome": "not-found", "payload": '
         '{"decision": false, "method": "via-partition", "witness": null}, '
         '"step_count": null, "subcommand": "subset-sum", "wall_time_ms": 0}'),
+    "subset-total": (
+        ["subset-sum", "3,1", "4"], 0,
+        "SUBSETSUM TRUE indices=0,1",
+        '{"input_digest": "0fec32367bd1", "outcome": "found", "payload": '
+        '{"decision": true, "method": "trivial", "witness": [0, 1]}, '
+        '"step_count": null, "subcommand": "subset-sum", "wall_time_ms": 0}'),
     "oracle-k": (
         ["oracle", "{star}", "--k", "4"], 2,
         "WEIGHTS k=4 absent",
@@ -161,6 +168,53 @@ def test_golden_report(capsys, path_file, star_file, sq12_file, ring_file,
         assert re.fullmatch(r'.*"wall_time_ms": \d+\.\d+}\n', out)
         out = re.sub(r'"wall_time_ms": [\d.]+', '"wall_time_ms": 0', out)
     assert out == (report if as_json else line) + "\n"
+
+
+def _readme_examples():
+    """(command, shown output lines) for each `$ ... treewindow ...` line in
+    the code blocks of README.md, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```", text, re.M | re.S):
+        shown = None  # lines before a block's first command are no output
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                shown = []
+                examples.append((line[2:], shown))
+            elif shown is not None:
+                shown.append(line)
+    return [(cmd, shown) for cmd, shown in examples
+            if cmd.partition("#")[0].rpartition("|")[2].split()[0] == "treewindow"]
+
+
+def _mask_wall_time(text):
+    return re.sub(r'"wall_time_ms": [\d.]+', '"wall_time_ms": 0', text)
+
+
+def test_readme_examples(capsys, monkeypatch, tmp_path):
+    """Every README example runs in a fresh directory as shown: `> FILE`
+    writes there, `echo ... |` is stdin, a trailing `# ...` is a comment,
+    and a comment `exit N` gives the exit code (0 when no output is shown)."""
+    examples = _readme_examples()
+    assert len(examples) >= 15
+    monkeypatch.chdir(tmp_path)
+    for example, shown in examples:
+        command, _, comment = example.partition("#")
+        stdin, _, command = command.rpartition("|")
+        if stdin:
+            echoed = " ".join(shlex.split(stdin)[1:])
+            monkeypatch.setattr("sys.stdin", io.StringIO(echoed + "\n"))
+        argv, target = shlex.split(command)[1:], None
+        if ">" in argv:
+            argv, target = argv[:-2], argv[-1]
+        code, out, err = run(capsys, *argv)
+        if target:
+            Path(target).write_text(out)
+        elif shown:
+            assert _mask_wall_time(out) == _mask_wall_time("\n".join(shown) + "\n"), example
+        stated = re.search(r"exit (\d+)", comment)
+        if stated or not shown:
+            assert code == (int(stated[1]) if stated else 0), (example, err)
 
 
 _BROKEN_CHECK = """
@@ -326,12 +380,25 @@ class TestSubsetSum:
         assert code == 2 and out.strip() == "SUBSETSUM FALSE"
 
     def test_complement_route(self, capsys):
-        # 2k > total: solved on the complement, witness mapped back
+        # 2k > total: the reduction pads toward k
         code, out, _ = run(capsys, "subset-sum", "2,2,2,2,2,1", "6", "--json")
         assert code == 0
         report = json.loads(out)
         assert report["payload"]["method"] == "via-partition"
         assert report["payload"]["decision"] is True
+
+    @pytest.mark.parametrize("values", ["3,1", "2,2"])
+    def test_target_total(self, capsys, values):
+        code, out, _ = run(capsys, "subset-sum", values, "4")
+        assert code == 0 and out.strip() == "SUBSETSUM TRUE indices=0,1"
+
+    def test_target_zero(self, capsys):
+        code, out, _ = run(capsys, "subset-sum", "3,1", "0")
+        assert code == 0 and out.strip() == "SUBSETSUM TRUE indices="
+
+    def test_negative_target(self, capsys):
+        code, _, err = run(capsys, "subset-sum", "3,1", "-1")
+        assert code == 1 and "k >= 0" in err
 
     def test_partition(self, capsys):
         code, out, _ = run(capsys, "subset-sum", "1,1,1,1,2", "--partition")

@@ -518,6 +518,31 @@ def test_half_cycle_on_random_graphs():
     assert qualified >= 20
 
 
+def test_headline_band_on_random_graphs():
+    """The paper's headline band: on every random sample of minimum degree
+    4, the density guarantee covers each k from floor(n/2) to ceil(n/2) + 3
+    (clipped to [3, n]), find_cycle_near returns a verified cycle of length
+    exactly k, and for n <= 14 exhaustive enumeration has a cycle of that
+    length too."""
+    rng = random.Random(7)
+    qualified = 0
+    for _ in range(150):
+        n = rng.randint(6, 29)
+        rows, order = random_plane_hamiltonian(rng, n, min_degree_chords(rng, n))
+        if min(map(len, rows)) < 4:
+            continue
+        qualified += 1
+        graph, ham = PlaneGraph(rows), HamiltonCycle(order)
+        spectrum = naive_cycle_lengths(rows) if n <= 14 else None
+        for k in range(max(3, n // 2), min(n, (n + 1) // 2 + 3) + 1):
+            assert cycle_search_guaranteed(n, graph.n_edges, k, 1), (rows, k)
+            cycle = find_cycle_near(graph, ham, k, 1)
+            assert cycle is not None and cycle.length == k, (rows, k)
+            assert verify_cycle(graph, cycle), (rows, k)
+            assert spectrum is None or k in spectrum, (rows, k)
+    assert qualified >= 100
+
+
 class TestGraphFormat:
     def test_roundtrip(self):
         graph, ham = square_cycle(8)
@@ -550,6 +575,18 @@ class TestGraphFormat:
         text = serialize_graph(graph, HamiltonCycle((0, 2, 4, 1, 3, 5)))
         with pytest.raises(NotHamiltonianError):
             parse_graph(text)
+
+    def test_disconnected_rejected(self):
+        # parse_graph walks no extra time for connectivity: Euler's formula
+        # refuses two triangles, the hamilton cycle a triangle beside a
+        # K4 drawn on the torus (which passes Euler).
+        triangle = "0: 1 2\n1: 2 0\n2: 0 1\n"
+        with pytest.raises(EmbeddingError, match="Euler"):
+            parse_graph("graph 6\n" + triangle + "3: 4 5\n4: 5 3\n5: 3 4\n"
+                        "hamilton: 0 1 2 3 4 5\n")
+        with pytest.raises(NotHamiltonianError):
+            parse_graph("graph 7\n" + triangle + "3: 4 5 6\n4: 3 5 6\n5: 3 4 6\n"
+                        "6: 3 4 5\nhamilton: 0 1 2 3 4 5 6\n")
 
 
 # ---------------------------------------------------------------------------

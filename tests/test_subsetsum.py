@@ -114,9 +114,16 @@ class TestViaPartition:
     def test_threshold_refusal(self):
         assert subset_sum_via_partition((6, 1, 1, 1), 4) is NOT_APPLICABLE
 
-    def test_target_above_half_rejected(self):
-        with pytest.raises(ValueError):
-            subset_sum_via_partition((1, 1, 1), 3)
+    def test_target_range(self):
+        for k in (0, 3):  # the empty set and the whole multiset are no targets
+            with pytest.raises(ValueError):
+                subset_sum_via_partition((1, 1, 1), k)
+        # 2k > total pads toward k: the half without the pad is the witness
+        values = (2, 2, 2, 2, 2, 1)
+        d = subset_sum_via_partition(values, 6)
+        assert isinstance(d, Decision) and d.value
+        assert verify_witness(values, d.witness, 6)
+        assert subset_sum_via_partition((1, 1, 1, 1, 6), 6) is NOT_APPLICABLE  # N < k
 
 
 class TestOracle:
@@ -177,11 +184,11 @@ class TestAgreement:
         total = sum(values)
         if total < 2:
             return
-        k = data.draw(st.integers(1, total // 2), label="k")
+        k = data.draw(st.integers(1, total - 1), label="k")
         result = subset_sum_via_partition(values, k)
         achievable = naive_subset_sums(values)
         if result is NOT_APPLICABLE:
-            below = len(values) < total - k
+            below = len(values) < max(k, total - k)
             boundary = total == 2 * k and len(values) == k
             assert below or boundary
         elif result.value:
