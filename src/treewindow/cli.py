@@ -28,10 +28,9 @@ from .planar import (
 )
 from .subsetsum import (
     NOT_APPLICABLE,
-    Decision,
     SubsetWitness,
+    _check_values,
     oracle_subset_sum,
-    partition_dense,
     subset_sum_dense,
     subset_sum_via_partition,
     verify_witness,
@@ -207,38 +206,33 @@ def _cmd_subset_sum(args):
                          "or with --values")
     if raw == "-":
         raw = sys.stdin.readline()
-    values = tuple(_ids(raw))
+    values = _check_values(_ids(raw))  # the solvers' rule, for every target
     digest = _digest(f"{values}|{args.k}|{args.partition}")
+    total = sum(values)
 
+    k, word, listed = args.k, "SUBSETSUM", "indices"
     if args.partition:
-        if args.k is not None:
+        if k is not None:
             raise ValueError("--partition takes no target k")
-        target, word, listed, extra = sum(values) // 2, "PARTITION", "left", {}
-        res = partition_dense(values)  # raises on an odd total
-        if res is NOT_APPLICABLE and args.fallback_oracle:
-            wit = oracle_subset_sum(values, target)
-            res = Decision(wit is not None, wit)
-        decision, witness = ((None, None) if res is NOT_APPLICABLE
-                             else (res.value, res.witness))
-    else:
-        if args.k is None or args.k < 0:
-            raise ValueError("subset-sum needs a target k >= 0 (or --partition)")
-        if args.k == 0 or args.k >= sum(values):  # the empty set, every index, or none
-            decision, method = args.k <= sum(values), "trivial"
-            indices = tuple(range(len(values))) if args.k else ()
-            witness = SubsetWitness(indices, args.k) if decision else None
-        else:
-            decision, witness, method = _solve_subset_sum(
-                values, args.k, args.fallback_oracle
-            )
-        target, word, listed, extra = args.k, "SUBSETSUM", "indices", {"method": method}
+        if total % 2:
+            raise ValueError(f"partition needs an even total, got {total}")
+        k, word, listed = total // 2, "PARTITION", "left"
+    elif k is None or k < 0:
+        raise ValueError("subset-sum needs a target k >= 0 (or --partition)")
+    if 0 < k < total:
+        decision, witness, method = _solve_subset_sum(values, k, args.fallback_oracle)
+    else:  # the empty set, every index, or none
+        decision, method = k <= total, "trivial"
+        indices = tuple(range(len(values))) if k else ()
+        witness = SubsetWitness(indices, k) if decision else None
+    extra = {} if args.partition else {"method": method}
 
     if decision is None:
         return digest, "not-applicable", None, None, "NOTAPPLICABLE"
     if not decision:
         return (digest, "not-found", {"decision": False, "witness": None, **extra},
                 None, f"{word} FALSE")
-    if witness is None or not verify_witness(values, witness, target):
+    if witness is None or not verify_witness(values, witness, k):
         raise InvariantError(f"solver returned an invalid witness: {witness}")
     payload = {"decision": True, "witness": list(witness.indices), **extra}
     line = f"{word} TRUE {listed}={','.join(map(str, witness.indices))}"

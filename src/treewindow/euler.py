@@ -133,11 +133,11 @@ def find_subtree(
     up.  Requires every single vertex weight <= k (WeightExceedsTargetError
     otherwise): a too-heavy vertex can never leave a window in range.
 
-    start is the stop index to open the window at.  The search runs on the
-    walk the tree keeps; cycle, if given, must be that walk (ValueError for
-    the walk of another tree).  on_move, if given, is called as
-    on_move(kind, s, t, weight) after every pointer move, with kind "grow"
-    or "shrink" and s, t the current inclusive window.
+    start is the stop index to open the window at (0 for a lone vertex).
+    The search runs on the walk the tree keeps; cycle, if given, must be
+    that walk (ValueError for the walk of another tree).  on_move, if
+    given, is called as on_move(kind, s, t, weight) after every pointer
+    move, with kind "grow" or "shrink" and s, t the current inclusive window.
     """
     if k < 1:
         raise ValueError(f"target k must be >= 1, got {k}")
@@ -148,19 +148,20 @@ def find_subtree(
             f"vertex weight {tree.max_weight} exceeds target {k}"
         )
 
+    if cycle is not None and cycle.tree is not tree:
+        raise ValueError("the walk was built for another tree")
+    stops, weights = tree._stops, tree.weights
+    length = len(stops)
+    last = max(length - 1, 0)
+    if not 0 <= start <= last:
+        raise ValueError(f"start stop {start} out of range 0..{last}")
+
     low = k - g + 1
     if tree.n_vertices == 1:
         w = tree.total_weight
         if low <= w <= k:
             return SubtreeResult(_ROOT, w, (0, 0), 0)
         return None
-
-    if cycle is not None and cycle.tree is not tree:
-        raise ValueError("the walk was built for another tree")
-    stops, weights = tree._stops, tree.weights
-    length = len(stops)
-    if not 0 <= start < length:
-        raise ValueError(f"start stop {start} out of range 0..{length - 1}")
 
     gaps = tree._gaps
     if gaps is None:

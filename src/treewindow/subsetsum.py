@@ -5,9 +5,9 @@ of elements.  When a multiset is dense enough (total close to the element
 count) the search conditions hold automatically, so a subset of sum
 exactly k exists among contiguous runs and is found in O(N).  The three
 solvers here apply that idea directly, to Partition, and to SubsetSum via
-the classic Partition reduction.  Each checks its threshold explicitly and
-reports "not applicable" outside it rather than guessing; NotApplicable is
-deliberately distinct from a false decision.
+the classic Partition reduction.  Only subset_sum_dense tests a threshold;
+outside it the solvers report "not applicable" rather than guessing, and
+NotApplicable is deliberately distinct from a false decision.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def verify_witness(values, witness: SubsetWitness, target: int) -> bool:
 def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
     """Subset of sum exactly k for dense instances, as a contiguous run.
 
-    Applies when total <= 2N - 2, total - N + 1 <= k <= N, and every
-    element <= k; under those bounds a contiguous run of the input order
-    summing to k always exists, and the path window search finds it.
+    Applies when total <= 2N - 2 and total - N + 1 <= k <= N (so no
+    element exceeds k); under those bounds a contiguous run of the input
+    order summing to k always exists, and the path window search finds it.
     Returns NOT_APPLICABLE outside the bounds (a false answer is never
     produced here: within the bounds the answer is always yes).
     """
@@ -99,7 +99,7 @@ def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
         raise ValueError(f"target k must be >= 1, got {k}")
     n = len(vals)
     total = sum(vals)
-    if total > 2 * n - 2 or not total - n + 1 <= k <= n or max(vals) > k:
+    if total > 2 * n - 2 or not total - n + 1 <= k <= n:
         return NOT_APPLICABLE
     result = find_subtree(path_tree(vals), k, 1)
     _require(result is not None, "dense thresholds hold but the path search failed")
@@ -109,58 +109,44 @@ def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
 
 
 def partition_dense(values) -> Decision | _NotApplicableType:
-    """Split into two halves of equal sum, for instances with N >= total/2 + 1.
+    """Split into two halves of equal sum: subset_sum_dense at total/2.
 
-    Within that threshold the split exists if and only if no element
-    exceeds total/2.  The total must be even (ValueError otherwise).
+    At k = total/2 the dense bounds read N >= total/2 + 1, and within them
+    the split always exists, so the answer is Decision(True, witness) or
+    NOT_APPLICABLE.  The total must be even (ValueError otherwise).
     """
     vals = _check_values(values)
     total = sum(vals)
     if total % 2:
         raise ValueError(f"partition needs an even total, got {total}")
-    half = total // 2
-    if len(vals) < half + 1:
-        return NOT_APPLICABLE
-    if max(vals) > half:
-        return Decision(False, None)
-    witness = subset_sum_dense(vals, half)
-    _require(isinstance(witness, SubsetWitness),
-             "partition threshold implies the dense subset-sum thresholds")
-    return Decision(True, witness)
+    witness = subset_sum_dense(vals, total // 2)
+    return witness if witness is NOT_APPLICABLE else Decision(True, witness)
 
 
 def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
-    """Subset of sum k via the Partition reduction, for 1 <= k < total and
-    N >= big = max(k, total - k).
+    """Subset of sum k via the Partition reduction, for 1 <= k < total.
 
-    Within that threshold the answer is yes if and only if no element
-    exceeds big.  A witness is recovered from a half of sum big of the
-    input padded with one element of value |total - 2k| (no pad when that
-    is 0), which subset_sum_dense finds: the half holding the pad, less
-    the pad, when 2k < total, and the other half otherwise (the classic
-    reduction, Garey and Johnson 1979).
-
-    One boundary case is excluded and reported NOT_APPLICABLE: total == 2k
-    with N == k exactly, where there is no pad and the instance falls one
-    element short of the dense thresholds.  The yes-iff-small-elements
-    equivalence is false there ((2, 2, 2) with k = 3 is a counterexample),
-    so no linear answer is available.
+    With big = max(k, total - k), an element above big answers no at any
+    N: it is in no subset of sum k, and the other elements sum to less
+    than k.  Otherwise the input is padded with one element of value
+    |total - 2k| (no pad when that is 0), and subset_sum_dense looks for a
+    half of sum big; its bounds on the padded multiset read N >= big, or
+    N >= big + 1 without a pad.  The witness is the half holding the pad,
+    less the pad, when 2k < total, and the other half otherwise (the
+    classic reduction, Garey and Johnson 1979).  NOT_APPLICABLE when
+    subset_sum_dense refuses the padded multiset.
     """
     vals = _check_values(values)
     n, total = len(vals), sum(vals)
     if not 1 <= k < total:
         raise ValueError(f"target k must satisfy 1 <= k < total = {total}, got {k}")
     big, pad = max(k, total - k), total - 2 * k
-    if n < big:
-        return NOT_APPLICABLE
     if max(vals) > big:
         return Decision(False, None)
-    if total == 2 * n == 2 * k:
-        return NOT_APPLICABLE
 
     half = subset_sum_dense(vals + (abs(pad),) if pad else vals, big)
-    _require(isinstance(half, SubsetWitness),
-             "via-partition threshold implies the dense thresholds")
+    if half is NOT_APPLICABLE:
+        return NOT_APPLICABLE
     chosen = set(half.indices)
     if (n in chosen) == (pad > 0):  # this half is the witness, less the pad
         indices = tuple(i for i in half.indices if i != n)

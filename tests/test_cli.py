@@ -303,6 +303,16 @@ class TestFindSubtree:
         code, _, err = run(capsys, "find-subtree", str(f), "1", "1")
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("start", ["5", "-1"])
+    def test_single_vertex_start_checked(self, capsys, tmp_path, start):
+        f = tmp_path / "one.tree"
+        f.write_text("tree 1\n0: 3:\n")
+        code, out, err = run(capsys, "find-subtree", str(f), "3", "1", f"--start={start}")
+        assert (code, out) == (1, "")
+        assert err == f"error: start stop {start} out of range 0..0\n"
+        code, out, _ = run(capsys, "find-subtree", str(f), "3", "1", "--start", "0")
+        assert code == 0 and out.strip() == "SUBTREE weight=3 vertices=0"
+
     @pytest.mark.parametrize("name, reason", [
         ("missing.tree", "No such file or directory"),
         (".", "Is a directory"),
@@ -421,6 +431,32 @@ class TestSubsetSum:
         code, _, err = run(capsys, "subset-sum", "1,1,1", "--partition")
         assert code == 1 and "even total" in err
 
+    @pytest.mark.parametrize("values", ["3,1", "5,1,1,1"])
+    def test_partition_oversized_element(self, capsys, values):
+        # N = total/2 is below the dense threshold, but an element above
+        # total/2 answers no
+        code, out, _ = run(capsys, "subset-sum", values, "--partition")
+        assert code == 2 and out.strip() == "PARTITION FALSE"
+
+    def test_oversized_element_below_threshold(self, capsys):
+        code, out, _ = run(capsys, "subset-sum", "6,1,1,1", "4", "--json")
+        assert code == 2
+        payload = json.loads(out)["payload"]
+        assert payload == {"decision": False, "method": "via-partition", "witness": None}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["0,1", "0"], "element 0: 0 is not an integer >= 1"),
+        (["0,3", "3"], "element 0: 0 is not an integer >= 1"),
+        (["--values=0,1", "1"], "element 0: 0 is not an integer >= 1"),
+        (["", "0"], "multiset must be non-empty"),
+        (["1 -2", "1"], "element 1: -2 is not an integer >= 1"),
+        (["0,1", "--partition"], "element 0: 0 is not an integer >= 1"),
+    ], ids=["zero-target", "total-target", "values-flag", "empty", "negative",
+            "partition-before-odd-total"])
+    def test_invalid_multiset(self, capsys, argv, message):
+        code, out, err = run(capsys, "subset-sum", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_values(self, capsys):
         code, _, err = run(capsys, "subset-sum", "1,x,3", "2")
         assert code == 1 and err.startswith("error:")
@@ -535,6 +571,18 @@ class TestOracle:
         f.write_text(out)
         code, _, err = run(capsys, "oracle", str(f))
         assert code == 1 and "limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "{f}"], ["find-subtree", "{f}", "100", "5", "--oracle"],
+    ], ids=["oracle", "find-subtree"])
+    def test_tree_table_too_large(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, "gen", "random-tree", "5000")
+        assert code == 0
+        f = tmp_path / "big.tree"
+        f.write_text(out)
+        code, out, err = run(capsys, *(arg.format(f=f) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == "error: oracle table 5000 * 24769 exceeds 100000000\n"
 
     def test_json(self, capsys, sq12_file):
         code, out, _ = run(capsys, "oracle", sq12_file, "--k", "7", "--json")

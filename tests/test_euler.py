@@ -117,6 +117,13 @@ class TestFindSubtree:
         assert res.ids.tolist() == [0] and res.ids.dtype == np.int64
         assert find_subtree(t, 5, 1) is None
 
+    @pytest.mark.parametrize("start", [1, 5, -1])
+    def test_single_vertex_start_checked(self, start):
+        t = WeightedTree((3,), ((),))
+        with pytest.raises(ValueError, match=rf"start stop {start} out of range 0\.\.0"):
+            find_subtree(t, 3, 1, start=start)
+        assert find_subtree(t, 3, 1, start=0).weight == 3
+
     def test_overweight_vertex_refused(self):
         with pytest.raises(WeightExceedsTargetError):
             find_subtree(path_tree((5, 1)), 3, 1)
@@ -144,6 +151,9 @@ class TestFindSubtree:
         assert check_conditions(tree, 3, 1).overall
         with pytest.raises(ValueError, match="another tree"):
             find_subtree(tree, 3, 1, cycle=build_euler_cycle(path_tree((1, 1))))
+        # a single vertex has no walk of its own to pair with
+        with pytest.raises(ValueError, match="another tree"):
+            find_subtree(WeightedTree((3,), ((),)), 3, 1, cycle=build_euler_cycle(tree))
 
     def test_walk_of_same_size_tree_refused(self):
         # Both walks have six stops, so only the tie to its tree tells them apart.

@@ -543,6 +543,43 @@ def test_headline_band_on_random_graphs():
     assert qualified >= 100
 
 
+def test_guarantee_on_random_graphs():
+    """On random plane hamiltonian graphs, most of minimum degree below 4,
+    for g in (1, 2, 4) and every k in 3..n: find_cycle_near never returns
+    None while cycle_search_guaranteed holds, every cycle it returns is
+    verified and of length in [k-g+1, k], and for n <= 12 exhaustive
+    enumeration has a cycle of that length too.
+
+    A None outside the guarantee is not checked against the enumeration:
+    the search sees only cycles that bound a subtree of interior faces, so
+    it may miss a length the graph has."""
+    rng = random.Random(11)
+    thin = guaranteed = found = spectrum_checked = 0
+    for i in range(120):
+        n = rng.randint(4, 16)
+        chords = min_degree_chords(rng, n) if i % 2 else None
+        rows, order = random_plane_hamiltonian(rng, n, chords)
+        thin += min(map(len, rows)) < 4
+        graph, ham = PlaneGraph(rows), HamiltonCycle(order)
+        spectrum = naive_cycle_lengths(rows) if n <= 12 else None
+        for g in (1, 2, 4):
+            for k in range(3, n + 1):
+                cycle = find_cycle_near(graph, ham, k, g)
+                if cycle_search_guaranteed(n, graph.n_edges, k, g):
+                    guaranteed += 1
+                    assert cycle is not None, (rows, k, g)
+                if cycle is None:
+                    continue
+                found += 1
+                assert verify_cycle(graph, cycle), (rows, k, g)
+                assert k - g + 1 <= cycle.length <= k, (rows, k, g)
+                if spectrum is not None:
+                    spectrum_checked += 1
+                    assert cycle.length in spectrum, (rows, k, g)
+    assert thin >= 60 and guaranteed >= 1000
+    assert found >= 2000 and spectrum_checked >= 1000
+
+
 class TestGraphFormat:
     def test_roundtrip(self):
         graph, ham = square_cycle(8)

@@ -75,6 +75,8 @@ class TestPartition:
     def test_too_few_elements(self):
         assert partition_dense((2, 2, 2)) is NOT_APPLICABLE
         assert oracle_subset_sum((2, 2, 2), 3) is None
+        # an element above total/2 lies outside the threshold too
+        assert partition_dense((3, 1)) is NOT_APPLICABLE
 
     def test_odd_total_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +114,10 @@ class TestViaPartition:
         assert oracle_subset_sum(values, 5) is None
 
     def test_threshold_refusal(self):
-        assert subset_sum_via_partition((6, 1, 1, 1), 4) is NOT_APPLICABLE
+        # N = 4 < big = max(4, 9 - 4) = 5, but 6 > big answers no at any N
+        assert subset_sum_via_partition((6, 1, 1, 1), 4) == Decision(False, None)
+        assert oracle_subset_sum((6, 1, 1, 1), 4) is None
+        assert subset_sum_via_partition((3, 1, 4, 1, 5), 9) is NOT_APPLICABLE
 
     def test_target_range(self):
         for k in (0, 3):  # the empty set and the whole multiset are no targets
@@ -167,14 +172,11 @@ class TestAgreement:
     def test_dense_matches_enumeration(self, values, data):
         k = data.draw(st.integers(1, sum(values)), label="k")
         result = subset_sum_dense(values, k)
-        if result is NOT_APPLICABLE:
-            n, total = len(values), sum(values)
-            assert (
-                total > 2 * n - 2
-                or not total - n + 1 <= k <= n
-                or max(values) > k
-            )
-        else:
+        n, total = len(values), sum(values)
+        dense = total <= 2 * n - 2 and total - n + 1 <= k <= n
+        assert (result is not NOT_APPLICABLE) == dense
+        if dense:
+            assert max(values) <= k
             assert verify_witness(values, result, k)
             assert k in naive_subset_sums(values)
 
@@ -187,11 +189,12 @@ class TestAgreement:
         k = data.draw(st.integers(1, total - 1), label="k")
         result = subset_sum_via_partition(values, k)
         achievable = naive_subset_sums(values)
+        n, big = len(values), max(k, total - k)
+        below = n < big or (total == 2 * k and n == k)
+        assert (result is NOT_APPLICABLE) == (below and max(values) <= big)
         if result is NOT_APPLICABLE:
-            below = len(values) < max(k, total - k)
-            boundary = total == 2 * k and len(values) == k
-            assert below or boundary
-        elif result.value:
+            return
+        if result.value:
             assert verify_witness(values, result.witness, k)
             assert k in achievable
         else:
@@ -204,12 +207,11 @@ class TestAgreement:
         if total % 2:
             return
         result = partition_dense(values)
-        if result is NOT_APPLICABLE:
-            assert len(values) < total // 2 + 1
-        elif result.value:
+        if len(values) < total // 2 + 1:
+            assert result is NOT_APPLICABLE
+        else:  # within the threshold the split always exists
+            assert result == Decision(True, subset_sum_dense(values, total // 2))
             assert verify_witness(values, result.witness, total // 2)
-        else:
-            assert total // 2 not in naive_subset_sums(values)
 
     @PROPERTY_SETTINGS
     @given(multisets, st.data())

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from treewindow import (
     FormatError,
+    InstanceTooLargeError,
     NotATreeError,
     TreeWindowError,
     WeightError,
@@ -20,6 +21,7 @@ from treewindow import (
     tight_instance,
 )
 from treewindow.generators import random_tree
+from treewindow.tree import ORACLE_CELL_BOUND
 from helpers import FUZZ_TOKENS, naive_subtree_weights, oracle_parse_tree, oracle_walk
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
@@ -124,6 +126,10 @@ class TestValidation:
         with pytest.raises(NotATreeError):
             WeightedTree((1, 1), ((5,), (0,)))
 
+    def test_row_count_must_match(self):
+        with pytest.raises(NotATreeError, match="2 weights but 1 adjacency rows"):
+            WeightedTree((1, 1), ((1,),))
+
     def test_degree(self):
         t = star_tree(1, (2, 2, 2))
         assert t.degree(0) == 3 and t.degree(1) == 1
@@ -213,6 +219,14 @@ class TestAchievableWeights:
 
     def test_single_vertex(self):
         assert achievable_subtree_weights(WeightedTree((7,), ((),))) == {7}
+
+    def test_table_bound(self):
+        # 2 * (ORACLE_CELL_BOUND // 2 + 1) cells, one over the bound
+        tree = path_tree((ORACLE_CELL_BOUND // 2, 1))
+        with pytest.raises(InstanceTooLargeError, match=f"exceeds {ORACLE_CELL_BOUND}"):
+            achievable_subtree_weights(tree)
+        assert achievable_subtree_weights(path_tree((ORACLE_CELL_BOUND // 2 - 1, 1))) == {
+            1, ORACLE_CELL_BOUND // 2 - 1, ORACLE_CELL_BOUND // 2}
 
     @PROPERTY_SETTINGS
     @given(weighted_trees())
