@@ -25,9 +25,9 @@ into the branch of i's vertex and returns from it along the same edge.
 So a run of moves in one direction (a phase) needs no per-vertex state:
 its weight changes are one cumsum over a chunk of stops, and a
 searchsorted finds the move that ends the phase.  Chunks double from 64
-up to 16,384 stops.  The gaps are built once per tree, by the first
-search, in O(n) array passes.  The answer is read off the final window
-the same way, as a sorted int64 array of vertex ids (SubtreeResult.ids).
+up to 16,384 stops.  The tree builds the gaps along with its walk, so a
+search only reads its tree.  The answer is read off the final window the
+same way, as a sorted int64 array of vertex ids (SubtreeResult.ids).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTreeError, InvariantError, WeightExceedsTargetError
-from .tree import WeightedTree, _spans_subtree, check_conditions
+from .tree import WeightedTree, _check_int, _spans_subtree, check_conditions
 
 
 # A phase is swept in chunks of stops that double from _FIRST_CHUNK up to
@@ -49,18 +49,14 @@ _AHEAD = np.arange(_MAX_CHUNK, dtype=np.int64)
 _AHEAD.flags.writeable = False
 _ROOT = np.zeros(1, dtype=np.int64)  # the ids of a single-vertex tree's answer
 _ROOT.flags.writeable = False
-# Stops per block of the gap build.
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class EulerCycle:
     """The closed walk of one tree, stops in traversal order.
 
-    vertices[i] is the tree vertex stop i leaves from; rotation[i] is the
-    index (into that vertex's neighbor list) of the edge taken, read off
-    the dart the stop takes on first access; both are read-only int64
-    arrays.  The successor of stop i is stop (i + 1) % len, the
+    vertices[i] is the tree vertex stop i leaves from, a read-only int64
+    array.  The successor of stop i is stop (i + 1) % len, the
     predecessor (i - 1) % len.  tree is the tree walked; find_subtree
     refuses to pair the walk with any other tree.
     """
@@ -70,12 +66,6 @@ class EulerCycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def rotation(self) -> np.ndarray:
-        rotation = self.tree._darts - self.tree.offsets[self.vertices]
-        rotation.flags.writeable = False
-        return rotation
 
 
 def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
@@ -139,10 +129,9 @@ def find_subtree(
     given, is called as on_move(kind, s, t, weight) after every pointer
     move, with kind "grow" or "shrink" and s, t the current inclusive window.
     """
-    if k < 1:
-        raise ValueError(f"target k must be >= 1, got {k}")
-    if g < 1:
-        raise ValueError(f"slack g must be >= 1, got {g}")
+    _check_int("target k", k, 1)
+    _check_int("slack g", g, 1)
+    _check_int("start stop", start)
     if tree.max_weight > k:
         raise WeightExceedsTargetError(
             f"vertex weight {tree.max_weight} exceeds target {k}"
@@ -164,8 +153,6 @@ def find_subtree(
         return None
 
     gaps = tree._gaps
-    if gaps is None:
-        gaps = tree._gaps = _next_visit_gaps(tree)
     budget = 3 * length
 
     # s and t run on past the end of the walk, stop i being stop
@@ -218,38 +205,6 @@ def find_subtree(
     ids.sort()
     ids.flags.writeable = False
     return SubtreeResult(ids, weight, (s % length, t % length), steps)
-
-
-def _next_visit_gaps(tree: WeightedTree) -> np.ndarray:
-    """The next-visit gaps of the tree's walk, shifted by one stop, as a
-    read-only int32 array: gaps[i + 1] is how many stops after stop i its
-    vertex is visited again (the walk's length for a leaf), and gaps[0]
-    repeats gaps[length], the last stop's.  A chunk of stops thus reads
-    its own gaps and those of the stops before it as slices.
-
-    A vertex's darts are taken in rotation order, so the visit after the
-    stop that takes dart d is the stop that takes the dart after d in the
-    rotation.  Built in blocks, so that no temporary is as long as the
-    walk."""
-    darts, offsets = tree._darts, tree.offsets
-    length = len(darts)
-    at = np.empty(length + 1, dtype=np.int32)  # 1 + the stop taking each dart
-    for lo in range(0, length, _BLOCK):
-        hi = min(lo + _BLOCK, length)
-        at[darts[lo:hi]] = np.arange(1 + lo, 1 + hi, dtype=np.int32)
-    gaps = np.empty(length + 1, dtype=np.int32)
-    for lo in range(0, length, _BLOCK):  # in dart order
-        hi = min(lo + _BLOCK, length)
-        gap = at[lo + 1:hi + 1] - at[lo:hi]
-        # The vertices whose last dart is in the block turn to their first.
-        v, w = np.searchsorted(offsets, (lo, hi), "right")
-        last = offsets[v:w] - 1
-        gap[last - lo] = at[offsets[v - 1:w - 1]] - at[last]
-        gap += (gap <= 0) * np.int32(length)
-        gaps[at[lo:hi]] = gap
-    gaps[0] = gaps[length]
-    gaps.flags.writeable = False
-    return gaps
 
 
 def _not_found(tree: WeightedTree, k: int, g: int) -> None:

@@ -31,6 +31,7 @@ from .euler import find_subtree
 from .tree import (
     WeightedTree,
     _Rotation,
+    _check_int,
     _csr,
     _csr_rows,
     _csr_tree,
@@ -405,10 +406,8 @@ def find_cycle_near(
     guaranteed whenever cycle_search_guaranteed(n, m, k, g) holds; on
     other inputs the search still runs and None is a legitimate outcome.
     """
-    if k < 3:
-        raise ValueError(f"cycle target k must be >= 3, got {k}")
-    if g < 1:
-        raise ValueError(f"slack g must be >= 1, got {g}")
+    _check_int("cycle target k", k, 3)
+    _check_int("slack g", g, 1)
     dual = build_dual_tree(graph, ham, "interior")
     try:
         found = find_subtree(dual.tree, k - 2, g)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError, InvariantError
 from .euler import find_subtree
-from .tree import ORACLE_CELL_BOUND, _first_non_int, path_tree
+from .tree import ORACLE_CELL_BOUND, _check_int, _first_non_int, path_tree
 
 
 class _NotApplicableType:
@@ -77,9 +77,7 @@ def _require(holds: bool, message: str) -> None:
 def verify_witness(values, witness: SubsetWitness, target: int) -> bool:
     """Check a witness against the original multiset and target sum."""
     idx = witness.indices
-    if len(set(idx)) != len(idx):
-        return False
-    if any(not 0 <= i < len(values) for i in idx):
+    if _first_non_int(idx, 0, len(values)) is not None or len(set(idx)) != len(idx):
         return False
     total = sum(values[i] for i in idx)
     return total == witness.total == target
@@ -95,8 +93,7 @@ def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
     produced here: within the bounds the answer is always yes).
     """
     vals = _check_values(values)
-    if k < 1:
-        raise ValueError(f"target k must be >= 1, got {k}")
+    _check_int("target k", k, 1)
     n = len(vals)
     total = sum(vals)
     if total > 2 * n - 2 or not total - n + 1 <= k <= n:
@@ -137,6 +134,7 @@ def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
     subset_sum_dense refuses the padded multiset.
     """
     vals = _check_values(values)
+    _check_int("target k", k)
     n, total = len(vals), sum(vals)
     if not 1 <= k < total:
         raise ValueError(f"target k must satisfy 1 <= k < total = {total}, got {k}")
@@ -166,8 +164,7 @@ def oracle_subset_sum(values, k: int) -> SubsetWitness | None:
     exceed ORACLE_CELL_BOUND.
     """
     vals = _check_values(values)
-    if k < 0:
-        raise ValueError(f"target k must be >= 0, got {k}")
+    _check_int("target k", k, 0)
     n = len(vals)
     total = sum(vals)
     if n * total > ORACLE_CELL_BOUND:

@@ -32,6 +32,9 @@ MAX_TOTAL_WEIGHT = 1 << 62
 # An exhaustive oracle run is refused above this many table cells.
 ORACLE_CELL_BOUND = 10**8
 
+# Stops per block of the gap build.
+_BLOCK = 1 << 16
+
 
 def _first_non_int(values, lo, hi) -> int | None:
     """Index of the first entry of values that is not an integer in
@@ -47,6 +50,15 @@ def _first_non_int(values, lo, hi) -> int | None:
                if isinstance(x, bool) or not isinstance(x, (int, np.integer))
                or not lo <= x < hi]
     return int(bad[0]) if len(bad) else None
+
+
+def _check_int(what: str, value, lo=-np.inf) -> None:
+    """Raise ValueError unless value is an integer (as _first_non_int
+    reads it) >= lo."""
+    if type(value) is not int and _first_non_int((value,), -np.inf, np.inf) is not None:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {value}")
 
 
 def _weight_array(weights) -> np.ndarray:
@@ -87,11 +99,11 @@ class WeightedTree(_Rotation):
     and max_weight are ints.  WeightedTree(weights, adjacency) takes
     sequences, numpy integers included; bool and float weights are refused.
     Building a tree walks it once, which proves it connected; the tree
-    keeps that walk for euler.build_euler_cycle, and the first search
-    fills in the walk's next-visit gaps (euler.find_subtree).
+    keeps that walk for euler.build_euler_cycle and the walk's next-visit
+    gaps for euler.find_subtree, which only reads them.
     """
 
-    __slots__ = ("weights", "total_weight", "max_weight", "_stops", "_darts", "_gaps")
+    __slots__ = ("weights", "total_weight", "max_weight", "_stops", "_gaps")
 
     def __init__(self, weights, adjacency) -> None:
         weights = _weight_array(weights)
@@ -168,16 +180,47 @@ def _totals(weights) -> tuple[int, int]:
 
 def _store(tree, totals, weights, offsets, neighbors, stops, darts) -> WeightedTree:
     """Fill tree (a new WeightedTree if None) with a validated tree's
-    totals, its CSR arrays and its walk (the vertex of each stop, int64,
-    and the dart it takes, int32), the arrays made read-only."""
+    totals, its CSR arrays, its walk (the vertex of each stop, int64) and
+    the walk's next-visit gaps, built from darts (the int32 dart each stop
+    takes), the arrays made read-only."""
     tree = WeightedTree.__new__(WeightedTree) if tree is None else tree
     tree.total_weight, tree.max_weight = totals
-    for name, array in (("weights", weights), ("offsets", offsets),
-                        ("neighbors", neighbors), ("_stops", stops), ("_darts", darts)):
+    for name, array in (("weights", weights), ("offsets", offsets), ("neighbors", neighbors),
+                        ("_stops", stops), ("_gaps", _next_visit_gaps(darts, offsets))):
         array.flags.writeable = False
         setattr(tree, name, array)
-    tree._gaps = None
     return tree
+
+
+def _next_visit_gaps(darts, offsets) -> np.ndarray:
+    """The next-visit gaps of the walk that takes darts, shifted by one
+    stop, as an int32 array: gaps[i + 1] is how many stops after stop i
+    its vertex is visited again (the walk's length for a leaf), and
+    gaps[0] repeats gaps[length], the last stop's (0 for an empty walk).
+    A chunk of stops thus reads its own gaps and those of the stops
+    before it as slices.
+
+    A vertex's darts are taken in rotation order, so the visit after the
+    stop that takes dart d is the stop that takes the dart after d in the
+    rotation.  Built in blocks, so that no temporary is as long as the
+    walk."""
+    length = len(darts)
+    at = np.empty(length + 1, dtype=np.int32)  # 1 + the stop taking each dart
+    for lo in range(0, length, _BLOCK):
+        hi = min(lo + _BLOCK, length)
+        at[darts[lo:hi]] = np.arange(1 + lo, 1 + hi, dtype=np.int32)
+    gaps = np.zeros(length + 1, dtype=np.int32)
+    for lo in range(0, length, _BLOCK):  # in dart order
+        hi = min(lo + _BLOCK, length)
+        gap = at[lo + 1:hi + 1] - at[lo:hi]
+        # The vertices whose last dart is in the block turn to their first.
+        v, w = np.searchsorted(offsets, (lo, hi), "right")
+        last = offsets[v:w] - 1
+        gap[last - lo] = at[offsets[v - 1:w - 1]] - at[last]
+        gap += (gap <= 0) * np.int32(length)
+        gaps[at[lo:hi]] = gap
+    gaps[0] = gaps[length]
+    return gaps
 
 
 def _tails(offsets) -> np.ndarray:
@@ -483,8 +526,8 @@ class ConditionReport:
 
 def check_conditions(tree: WeightedTree, k: int, g: int) -> ConditionReport:
     """Evaluate the five sufficient conditions for the window search."""
-    if g < 1:
-        raise ValueError(f"slack g must be >= 1, got {g}")
+    _check_int("target k", k)
+    _check_int("slack g", g, 1)
     n2 = tree.total_weight
     h = 2 * tree.n_vertices - n2
     return ConditionReport(

@@ -214,6 +214,13 @@ def oracle_walk(adjacency) -> list[tuple[int, int]]:
     return stops
 
 
+def walk_rotation(cycle) -> list[int]:
+    """Each stop's rotation index, worked out from the walk's vertices: the
+    position of the next stop's vertex in the stop's neighbor list."""
+    stops, adjacency = cycle.vertices.tolist(), cycle.tree.adjacency
+    return [adjacency[v].index(stops[(i + 1) % len(stops)]) for i, v in enumerate(stops)]
+
+
 def oracle_find_subtree(tree, k, g, *, start=0, on_move=None):
     """The window search one pointer move at a time, with an occupancy
     count per vertex, over oracle_walk's stops.  Same arguments, result,

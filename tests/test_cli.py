@@ -7,11 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import treewindow
+import treewindow.cli as cli
 from treewindow.cli import main
 
 
@@ -262,6 +264,36 @@ class TestFindSubtree:
     def test_oracle_crosscheck(self, capsys, path_file):
         code, out, _ = run(capsys, "find-subtree", path_file, "6", "2", "--oracle")
         assert code == 0 and out.startswith("SUBTREE")
+
+    def test_oracle_allows_miss_outside_guarantee(self, capsys, tmp_path):
+        """slack_ok fails here (g + h = 1 + 10 - 14 = -3), so a miss is no
+        fault even though the oracle reaches 7."""
+        f = tmp_path / "miss.tree"
+        f.write_text("tree 5\n0: 4: 1\n1: 1: 0 2 3 4\n2: 1: 1\n3: 3: 1\n4: 5: 1\n")
+        assert run(capsys, "oracle", str(f), "--k", "7")[0] == 0
+        code, out, err = run(capsys, "find-subtree", str(f), "7", "1", "--oracle")
+        assert (code, out, err) == (2, "NOTFOUND\n", "")
+        code, out, _ = run(capsys, "find-subtree", str(f), "7", "1", "--oracle", "--json")
+        report = json.loads(out)
+        assert code == 2 and report["outcome"] == "not-found" and report["payload"] is None
+
+    def test_oracle_flags_miss_under_guarantee(self, capsys, monkeypatch, path_file):
+        monkeypatch.setattr(cli, "find_subtree", lambda *args, **kwargs: None)
+        code, out, err = run(capsys, "find-subtree", path_file, "6", "2", "--oracle")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: oracle found achievable weights [5, 6]")
+
+    def test_oracle_memory_independent_of_slack(self, capsys, tmp_path):
+        f = tmp_path / "three.tree"
+        f.write_text("tree 3\n0: 1: 1\n1: 1: 0 2\n2: 1: 1\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "find-subtree", str(f), "1000000", "1000000", "--oracle")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.startswith("SUBTREE")
+        assert peak < 4 * 2**20
 
     def test_check_only(self, capsys, path_file):
         code, out, _ = run(capsys, "find-subtree", path_file, "6", "2",

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from treewindow import (
 from treewindow.euler import _MAX_CHUNK
 from treewindow.generators import random_tree
 
-from helpers import oracle_find_subtree
+from helpers import oracle_find_subtree, walk_rotation
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
 
@@ -71,7 +72,7 @@ class TestEulerCycle:
     def test_three_vertex_path(self):
         cycle = build_euler_cycle(path_tree((1, 2, 1)))
         assert cycle.vertices.tolist() == [0, 1, 2, 1]
-        assert cycle.rotation.tolist() == [0, 1, 0, 0]
+        assert walk_rotation(cycle) == [0, 1, 0, 0]
 
     def test_single_vertex_refused(self):
         with pytest.raises(DegenerateTreeError):
@@ -85,14 +86,13 @@ class TestEulerCycle:
         length = len(cycle)
         assert length == 2 * (n - 1)
 
-        # each stop leaves along a real dart, landing on the next stop
+        # each stop leaves along a real dart, the rotation successor of the
+        # dart it arrived by
         darts = set()
-        for i in range(length):
+        for i, r in enumerate(walk_rotation(cycle)):
             v = cycle.vertices[i]
-            r = cycle.rotation[i]
-            assert 0 <= r < tree.degree(v)
-            head = tree.adjacency[v][r]
-            assert head == cycle.vertices[(i + 1) % length]
+            back = tree.adjacency[v].index(cycle.vertices[i - 1])
+            assert r == (back + 1) % tree.degree(v)
             darts.add((v, r))
         # every dart exactly once
         assert len(darts) == length
@@ -409,6 +409,33 @@ def test_large_query_allocates_little():
         tracemalloc.stop()
     assert found is not None and len(found.ids) > 20000
     assert peak < 1 << 20
+
+
+def test_threads_share_a_new_tree():
+    """A search only reads its tree, so threads may search one tree at
+    once, from its first search on, and get the serial answers."""
+    queries = [(k, g, start) for k in (20, 3000, 40000) for g in (1, 8)
+               for start in (0, 777, 9001)]
+    serial = random_tree(5000, 9, 5)
+    expected = [find_subtree(serial, *q[:2], start=q[2]) for q in queries]
+    tree = random_tree(5000, 9, 5)
+    results = [[] for _ in range(4)]
+
+    def search_all(out):
+        out.extend(find_subtree(tree, k, g, start=start) for k, g, start in queries * 5)
+
+    workers = [threading.Thread(target=search_all, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(out == expected * 5 for out in results)
 
 
 _OPTIMIZED_SWEEP = """

@@ -165,6 +165,14 @@ class TestVerifyWitness:
         assert not verify_witness((2, 3), SubsetWitness((0,), 3), 3)
         assert not verify_witness((2, 3), SubsetWitness((0,), 2), 3)
 
+    @pytest.mark.parametrize("values, index", [([1, 2], 0.0), ([1, 2], "0"), ([5, 1], True)],
+                             ids=["float", "str", "bool"])
+    def test_rejects_non_integer_index(self, values, index):
+        assert verify_witness(values, SubsetWitness((index,), 1), 1) is False
+
+    def test_accepts_numpy_index(self):
+        assert verify_witness([5, 1], SubsetWitness((np.int64(1),), 1), 1)
+
 
 class TestAgreement:
     @PROPERTY_SETTINGS

@@ -12,17 +12,24 @@ from treewindow import (
     WeightError,
     WeightedTree,
     achievable_subtree_weights,
+    build_dual_tree,
     build_euler_cycle,
     check_conditions,
+    find_cycle_near,
+    find_subtree,
+    oracle_subset_sum,
     parse_tree,
     path_tree,
     serialize_tree,
     star_tree,
+    subset_sum_dense,
+    subset_sum_via_partition,
     tight_instance,
 )
-from treewindow.generators import random_tree
+from treewindow.generators import random_tree, square_cycle
 from treewindow.tree import ORACLE_CELL_BOUND
-from helpers import FUZZ_TOKENS, naive_subtree_weights, oracle_parse_tree, oracle_walk
+from helpers import (FUZZ_TOKENS, naive_subtree_weights, oracle_parse_tree, oracle_walk,
+                     walk_rotation)
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
 
@@ -49,7 +56,7 @@ class TestPathTree:
             weights = rng.integers(1, 10, n).tolist()
             rows = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
             fast, walked = path_tree(weights), WeightedTree(weights, rows)
-            for name in ("weights", "offsets", "neighbors", "_stops", "_darts"):
+            for name in ("weights", "offsets", "neighbors", "_stops", "_gaps"):
                 a, b = getattr(fast, name), getattr(walked, name)
                 assert a.dtype == b.dtype and a.tolist() == b.tolist(), (n, name)
                 assert not a.flags.writeable
@@ -62,6 +69,69 @@ class TestPathTree:
             path_tree((1, 0, 1))
         with pytest.raises(WeightError):
             path_tree((1 << 61, 1 << 61))
+
+
+class TestBuiltComplete:
+    """Every constructor leaves the tree complete: the walk's next-visit
+    gaps are there, read-only, and a search only reads the tree."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: WeightedTree((2, 1, 3), ((1,), (0, 2), (1,))),
+        lambda: parse_tree("tree 4\n0: 1: 1 2 3\n1: 2: 0\n2: 1: 0\n3: 3: 0\n"),
+        lambda: path_tree((1, 2, 1, 1)),
+        lambda: random_tree(200, 5, 4),
+        lambda: build_dual_tree(*square_cycle(12), "interior").tree,
+        lambda: WeightedTree((4,), ((),)),
+    ], ids=["WeightedTree", "parse_tree", "path_tree", "random_tree", "dual", "single"])
+    def test_gaps_built_and_search_reads_only(self, build):
+        tree = build()
+        gaps, stops = tree._gaps, tree._stops.tolist()
+        assert not gaps.flags.writeable and gaps.dtype == np.int32
+        length = len(stops)
+        # gaps[i + 1]: stops from stop i to the next visit of its vertex
+        expected = [next(d for d in range(1, length + 1) if stops[(i + d) % length] == v)
+                    for i, v in enumerate(stops)]
+        assert gaps.tolist() == (expected[-1:] + expected if length else [0])
+        names = ("offsets", "neighbors", *WeightedTree.__slots__)
+        before = {name: getattr(tree, name) for name in names}
+        assert find_subtree(tree, tree.total_weight, 1).weight == tree.total_weight
+        assert all(getattr(tree, name) is value for name, value in before.items())
+        assert all(not a.flags.writeable for a in before.values() if isinstance(a, np.ndarray))
+
+
+class TestIntegerArguments:
+    """k, g and start are integers at every public entry: numpy integers
+    count, bool, float and str do not."""
+
+    ENTRIES = {
+        "find_subtree": lambda k, g=1, start=0: find_subtree(path_tree((1,) * 6), k, g,
+                                                             start=start),
+        "check_conditions": lambda k, g=1: check_conditions(path_tree((1,) * 6), k, g),
+        "find_cycle_near": lambda k, g=1: find_cycle_near(*square_cycle(12), k, g),
+        "subset_sum_dense": lambda k: subset_sum_dense((1,) * 6, k),
+        "subset_sum_via_partition": lambda k: subset_sum_via_partition((1,) * 7, k),
+        "oracle_subset_sum": lambda k: oracle_subset_sum((1,) * 6, k),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("k", [6.5, 6.0, True, "6"], ids=["float", "whole", "bool", "str"])
+    def test_non_integer_target_refused(self, entry, k):
+        with pytest.raises(ValueError, match=r"k must be an integer, got"):
+            self.ENTRIES[entry](k)
+        assert self.ENTRIES[entry](np.int64(6)) is not None
+
+    @pytest.mark.parametrize("entry", ["find_subtree", "check_conditions", "find_cycle_near"])
+    @pytest.mark.parametrize("g", [1.0, True], ids=["float", "bool"])
+    def test_non_integer_slack_refused(self, entry, g):
+        with pytest.raises(ValueError, match=r"slack g must be an integer, got"):
+            self.ENTRIES[entry](6, g)
+        assert self.ENTRIES[entry](6, np.int64(1)) is not None
+
+    @pytest.mark.parametrize("start", [1.0, True], ids=["float", "bool"])
+    def test_non_integer_start_refused(self, start):
+        with pytest.raises(ValueError, match=r"start stop must be an integer, got"):
+            self.ENTRIES["find_subtree"](6, 1, start)
+        assert self.ENTRIES["find_subtree"](6, 1, np.int64(1)).weight == 6
 
 
 class TestValidation:
@@ -362,7 +432,7 @@ class TestDifferentialFuzz:
         assert tree.adjacency == adjacency
         if tree.n_vertices > 1:
             cycle = build_euler_cycle(tree)
-            walk = list(zip(cycle.vertices.tolist(), cycle.rotation.tolist()))
+            walk = list(zip(cycle.vertices.tolist(), walk_rotation(cycle)))
             assert walk == oracle_walk(adjacency)
         assert serialize_tree(parse_tree(serialize_tree(tree))) == serialize_tree(tree)
 
