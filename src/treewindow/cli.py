@@ -30,9 +30,9 @@ from .subsetsum import (
     NOT_APPLICABLE,
     SubsetWitness,
     _check_values,
-    oracle_subset_sum,
-    subset_sum_dense,
-    subset_sum_via_partition,
+    _dense,
+    _oracle,
+    _via,
     verify_witness,
 )
 from .tree import (
@@ -176,22 +176,6 @@ def _cmd_find_cycle(args):
 # ---------------------------------------------------------------------------
 
 
-def _solve_subset_sum(values: tuple[int, ...], k: int, fallback: bool):
-    """Dense solvers in order of strength, then the DP if allowed.
-    Returns (decision: bool | None, witness, method)."""
-    res = subset_sum_dense(values, k)
-    if res is not NOT_APPLICABLE:
-        return True, res, "dense"
-    via = subset_sum_via_partition(values, k)
-    if via is not NOT_APPLICABLE:
-        return via.value, via.witness, "via-partition"
-
-    if fallback:
-        wit = oracle_subset_sum(values, k)
-        return (wit is not None), wit, "oracle"
-    return None, None, None
-
-
 def _cmd_subset_sum(args):
     raw = args.values
     if args.values_opt is not None:
@@ -207,9 +191,8 @@ def _cmd_subset_sum(args):
                          "or with --values")
     if raw == "-":
         raw = sys.stdin.readline()
-    values = _check_values(_ids(raw))  # the solvers' rule, for every target
+    values, total = _check_values(_ids(raw))  # the only check, for every target
     digest = _digest(f"{values}|{args.k}|{args.partition}")
-    total = sum(values)
 
     k, word, listed = args.k, "SUBSETSUM", "indices"
     if args.partition:
@@ -220,16 +203,22 @@ def _cmd_subset_sum(args):
         k, word, listed = total // 2, "PARTITION", "left"
     elif k is None or k < 0:
         raise ValueError("subset-sum needs a target k >= 0 (or --partition)")
-    if 0 < k < total:
-        decision, witness, method = _solve_subset_sum(values, k, args.fallback_oracle)
-    else:  # the empty set, every index, or none
+    # Trivial targets, then the dense solvers by strength, then the DP if allowed.
+    if not 0 < k < total:  # the empty set, every index, or none
         decision, method = k <= total, "trivial"
         indices = tuple(range(len(values))) if k else ()
         witness = SubsetWitness(indices, k) if decision else None
+    elif (witness := _dense(values, total, k)) is not NOT_APPLICABLE:
+        decision, method = True, "dense"
+    elif (via := _via(values, total, k)) is not NOT_APPLICABLE:
+        decision, witness, method = via.value, via.witness, "via-partition"
+    elif args.fallback_oracle:
+        witness = _oracle(values, total, k)
+        decision, method = witness is not None, "oracle"
+    else:
+        return digest, "not-applicable", None, None, "NOTAPPLICABLE"
     extra = {} if args.partition else {"method": method}
 
-    if decision is None:
-        return digest, "not-applicable", None, None, "NOTAPPLICABLE"
     if not decision:
         return (digest, "not-found", {"decision": False, "witness": None, **extra},
                 None, f"{word} FALSE")

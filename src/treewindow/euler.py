@@ -129,9 +129,9 @@ def find_subtree(
     given, is called as on_move(kind, s, t, weight) after every pointer
     move, with kind "grow" or "shrink" and s, t the current inclusive window.
     """
-    _check_int("target k", k, 1)
-    _check_int("slack g", g, 1)
-    _check_int("start stop", start)
+    k = _check_int("target k", k, 1)
+    g = _check_int("slack g", g, 1)
+    start = _check_int("start stop", start)
     if tree.max_weight > k:
         raise WeightExceedsTargetError(
             f"vertex weight {tree.max_weight} exceeds target {k}"

@@ -192,8 +192,8 @@ def _sides(graph: PlaneGraph, ham: HamiltonCycle):
     vertex runs cycle successor, region A's chords, cycle predecessor,
     region B's chords.  Returns the order as an array, per dart whether it
     is a chord and whether the angle after it lies in A (the face of dart
-    d lies in the region of the angle after reverse(d)), and whether A is
-    the interior."""
+    d lies in the region of the angle after reverse(d)), whether A is the
+    interior, and per face whether it lies in the interior."""
     seq, following = _hamilton_darts(graph, ham.order)
     reverse, offsets = graph._reverse, graph.offsets
     preceding = np.empty_like(following)
@@ -215,12 +215,13 @@ def _sides(graph: PlaneGraph, ham: HamiltonCycle):
     b_chords = np.count_nonzero(chord) - a_chords
     a_inside = a_chords > b_chords or a_chords == b_chords and (
         not b_chords or bool(in_a[np.argmax(chord)]))  # the first chord's side
-    return seq, chord, in_a, a_inside
+    interior = in_a[reverse[graph._walk[graph._face_offsets[:-1]]]] == a_inside
+    return seq, chord, in_a, a_inside, interior
 
 
 def split_by_hamilton(graph: PlaneGraph, ham: HamiltonCycle) -> Split:
     """Partition the chords into the two regions of the hamilton cycle."""
-    _, chord, in_a, a_inside = _sides(graph, ham)
+    _, chord, in_a, a_inside, _ = _sides(graph, ham)
     tails, n = _tails(graph.offsets), graph.n_vertices
     keys = tails * n + graph.neighbors
     chord &= tails < graph.neighbors  # each chord once, from its smaller end
@@ -280,12 +281,11 @@ def build_dual_tree(
 
 
 def _dual_tree(graph: PlaneGraph, sides, side: str) -> DualTree:
-    seq, chord, in_a, a_inside = sides
+    seq, chord, _, _, interior = sides
+    in_region = interior if side == "interior" else ~interior
     n = graph.n_vertices
     walk, reverse, bounds = graph._walk, graph._reverse, graph._face_offsets
     lengths = np.diff(bounds)
-    # A face lies in the region of the angle after the reverse of its darts.
-    in_region = in_a[reverse[walk[bounds[:-1]]]] == (a_inside == (side == "interior"))
     ids = np.flatnonzero(in_region)
     on_region = np.repeat(in_region, lengths)  # per position of the walk
     dual_of = np.empty_like(walk)  # per dart, the dual vertex of its face
@@ -406,8 +406,8 @@ def find_cycle_near(
     guaranteed whenever cycle_search_guaranteed(n, m, k, g) holds; on
     other inputs the search still runs and None is a legitimate outcome.
     """
-    _check_int("cycle target k", k, 3)
-    _check_int("slack g", g, 1)
+    k = _check_int("cycle target k", k, 3)
+    g = _check_int("slack g", g, 1)
     dual = build_dual_tree(graph, ham, "interior")
     try:
         found = find_subtree(dual.tree, k - 2, g)
@@ -502,33 +502,28 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     if not is_three_connected(graph):
         raise PreconditionError("graph is not 3-connected")
 
-    target = n // 2 - 3
-    cap = n // 2 - 3  # face length < n/2 means dual weight <= n/2 - 3
-
-    interior = _dual_tree(graph, sides, "interior")
-    interior_edges = n + interior.tree.n_vertices - 1  # one dual edge per chord
-
-    if interior_edges > 3 * n // 2:
-        return _guaranteed_cycle(interior, target, 1, "dense interior")
-
-    if interior.tree.max_weight <= cap:
-        return _guaranteed_cycle(interior, target, 2, "small interior faces")
-
-    # Both regions now have exactly 3n/2 edges (edge counts are tied), so
-    # the interior/exterior naming was an arbitrary tie-break; the same
-    # small-face argument may apply to the other region.
-    exterior = _dual_tree(graph, sides, "exterior")
-    if exterior.tree.max_weight <= cap:
-        return _guaranteed_cycle(exterior, target, 2, "small exterior faces")
+    lengths = np.diff(graph._face_offsets)
+    interior = sides[-1]
+    dense = n + np.count_nonzero(interior) - 1 > 3 * n // 2  # one interior edge per chord
+    # A dense interior is searched first.  Otherwise both regions have
+    # exactly 3n/2 edges (edge counts are tied), so the interior/exterior
+    # naming was an arbitrary tie-break; the same small-face argument may
+    # apply to the other region.
+    for side, faces in (("interior", interior), ("exterior", ~interior)):
+        if dense or lengths[faces].max() < n // 2:
+            dual = _dual_tree(graph, sides, side)
+            found = find_subtree(dual.tree, n // 2 - 3, 1 if dense else 2)
+            if found is None:
+                raise InvariantError(f"the {side} faces must contain the target subtree")
+            return subtree_to_cycle(dual, found.ids)
 
     # Both regions now hold one face of length n/2 and n/2 triangles, which
     # makes the graph the square of a cycle, though ham need not be its
     # cycle of hops 1.  A long face runs along the even places of that
     # cycle, and the face across its edge from place 2i to 2i + 2 is a
     # triangle with third vertex at place 2i + 1.
-    walk, bounds = graph._walk, graph._face_offsets
-    longest = int(np.argmax(np.diff(bounds)))
-    darts = walk[bounds[longest]:bounds[longest + 1]]
+    longest = int(np.argmax(lengths))
+    darts = graph._walk[graph._face_offsets[longest]:graph._face_offsets[longest + 1]]
     r = graph._reverse[darts]
     third = graph.neighbors[_successor(graph.offsets, graph.neighbors[r], graph._reverse[r])]
     order = np.c_[_tails(graph.offsets)[darts], third].ravel()
@@ -547,13 +542,6 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
     if not verify_cycle(graph, cycle):
         raise InvariantError(f"hop-pattern walk {cycle.vertices} is not a cycle")
     return cycle
-
-
-def _guaranteed_cycle(dual: DualTree, target: int, g: int, case: str) -> CycleResult:
-    found = find_subtree(dual.tree, target, g)
-    if found is None:
-        raise InvariantError(f"{case} must contain the target subtree")
-    return subtree_to_cycle(dual, found.ids)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,20 @@ solvers here apply that idea directly, to Partition, and to SubsetSum via
 the classic Partition reduction.  Only subset_sum_dense tests a threshold;
 outside it the solvers report "not applicable" rather than guessing, and
 NotApplicable is deliberately distinct from a false decision.
+
+Each public entry checks its multiset once (a 1-D integer array in one
+vectorized pass) and hands the checked tuple and its total to a private
+core (_dense, _via, _oracle) that checks nothing again; the CLI checks
+the multiset once and calls the same cores.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from .errors import InstanceTooLargeError, InvariantError
 from .euler import find_subtree
@@ -56,16 +63,19 @@ class Decision:
     witness: SubsetWitness | None
 
 
-def _check_values(values) -> tuple[int, ...]:
-    """values as a tuple of ints >= 1; numpy integers are accepted, bool
-    and float are not."""
-    vals = tuple(values)
-    if not vals:
+def _check_values(values) -> tuple[tuple[int, ...], int]:
+    """values as a tuple of ints >= 1, and their total.  A 1-D integer
+    array is checked as an array; numpy integers are accepted, bool and
+    float are not."""
+    array = isinstance(values, np.ndarray) and values.ndim == 1
+    vals = values if array else tuple(values)
+    if not len(vals):
         raise ValueError("multiset must be non-empty")
     bad = _first_non_int(vals, 1, math.inf)
     if bad is not None:
         raise ValueError(f"element {bad}: {vals[bad]!r} is not an integer >= 1")
-    return tuple(map(operator.index, vals))
+    vals = tuple(vals.tolist() if array else map(int, vals))
+    return vals, sum(vals)
 
 
 def _require(holds: bool, message: str) -> None:
@@ -92,13 +102,17 @@ def subset_sum_dense(values, k: int) -> SubsetWitness | _NotApplicableType:
     Returns NOT_APPLICABLE outside the bounds (a false answer is never
     produced here: within the bounds the answer is always yes).
     """
-    vals = _check_values(values)
-    _check_int("target k", k, 1)
+    vals, total = _check_values(values)
+    return _dense(vals, total, _check_int("target k", k, 1))
+
+
+def _dense(vals: tuple[int, ...], total: int, k: int) -> SubsetWitness | _NotApplicableType:
+    """subset_sum_dense on checked values and their total."""
     n = len(vals)
-    total = sum(vals)
     if total > 2 * n - 2 or not total - n + 1 <= k <= n:
         return NOT_APPLICABLE
-    result = find_subtree(path_tree(vals), k, 1)
+    # Within the bounds no value exceeds k <= N, so int64 holds them all.
+    result = find_subtree(path_tree(np.array(vals, dtype=np.int64)), k, 1)
     _require(result is not None, "dense thresholds hold but the path search failed")
     indices = tuple(result.ids.tolist())
     _require(indices[-1] - indices[0] + 1 == len(indices), "path window not contiguous")
@@ -112,11 +126,10 @@ def partition_dense(values) -> Decision | _NotApplicableType:
     the split always exists, so the answer is Decision(True, witness) or
     NOT_APPLICABLE.  The total must be even (ValueError otherwise).
     """
-    vals = _check_values(values)
-    total = sum(vals)
+    vals, total = _check_values(values)
     if total % 2:
         raise ValueError(f"partition needs an even total, got {total}")
-    witness = subset_sum_dense(vals, total // 2)
+    witness = _dense(vals, total, total // 2)
     return witness if witness is NOT_APPLICABLE else Decision(True, witness)
 
 
@@ -133,24 +146,28 @@ def subset_sum_via_partition(values, k: int) -> Decision | _NotApplicableType:
     classic reduction, Garey and Johnson 1979).  NOT_APPLICABLE when
     subset_sum_dense refuses the padded multiset.
     """
-    vals = _check_values(values)
-    _check_int("target k", k)
-    n, total = len(vals), sum(vals)
+    vals, total = _check_values(values)
+    k = _check_int("target k", k)
     if not 1 <= k < total:
         raise ValueError(f"target k must satisfy 1 <= k < total = {total}, got {k}")
-    big, pad = max(k, total - k), total - 2 * k
+    return _via(vals, total, k)
+
+
+def _via(vals: tuple[int, ...], total: int, k: int) -> Decision | _NotApplicableType:
+    """subset_sum_via_partition on checked values, their total and 1 <= k < total."""
+    n, big, pad = len(vals), max(k, total - k), total - 2 * k
     if max(vals) > big:
         return Decision(False, None)
-
-    half = subset_sum_dense(vals + (abs(pad),) if pad else vals, big)
+    # The padded multiset sums to 2 * big.
+    half = _dense(vals + (abs(pad),) if pad else vals, 2 * big, big)
     if half is NOT_APPLICABLE:
         return NOT_APPLICABLE
-    chosen = set(half.indices)
-    if (n in chosen) == (pad > 0):  # this half is the witness, less the pad
-        indices = tuple(i for i in half.indices if i != n)
-    else:  # the other half is
-        indices = tuple(i for i in range(n) if i not in chosen)
-    witness = SubsetWitness(indices, sum(vals[i] for i in indices))
+    chosen = np.zeros(n + 1, dtype=bool)
+    chosen[list(half.indices)] = True
+    # The witness is the half with the pad (slot n, dropped) when 2k < total,
+    # and the half without it otherwise.
+    mask = (chosen[:n] if chosen[n] == (pad > 0) else ~chosen[:n]).tolist()
+    witness = SubsetWitness(tuple(compress(range(n), mask)), sum(compress(vals, mask)))
     _require(witness.total == k, "back-mapped witness must sum to k")
     return Decision(True, witness)
 
@@ -163,10 +180,13 @@ def oracle_subset_sum(values, k: int) -> SubsetWitness | None:
     back from those masks; refuses instances whose N * total table would
     exceed ORACLE_CELL_BOUND.
     """
-    vals = _check_values(values)
-    _check_int("target k", k, 0)
+    vals, total = _check_values(values)
+    return _oracle(vals, total, _check_int("target k", k, 0))
+
+
+def _oracle(vals: tuple[int, ...], total: int, k: int) -> SubsetWitness | None:
+    """oracle_subset_sum on checked values, their total and k >= 0."""
     n = len(vals)
-    total = sum(vals)
     if n * total > ORACLE_CELL_BOUND:
         raise InstanceTooLargeError(
             f"oracle table {n} * {total} exceeds {ORACLE_CELL_BOUND}"

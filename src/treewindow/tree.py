@@ -52,13 +52,14 @@ def _first_non_int(values, lo, hi) -> int | None:
     return int(bad[0]) if len(bad) else None
 
 
-def _check_int(what: str, value, lo=-np.inf) -> None:
-    """Raise ValueError unless value is an integer (as _first_non_int
-    reads it) >= lo."""
+def _check_int(what: str, value, lo=-np.inf) -> int:
+    """value as an int; ValueError unless it is an integer (as
+    _first_non_int reads it) >= lo."""
     if type(value) is not int and _first_non_int((value,), -np.inf, np.inf) is not None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < lo:
         raise ValueError(f"{what} must be >= {lo}, got {value}")
+    return int(value)
 
 
 def _weight_array(weights) -> np.ndarray:
@@ -526,8 +527,8 @@ class ConditionReport:
 
 def check_conditions(tree: WeightedTree, k: int, g: int) -> ConditionReport:
     """Evaluate the five sufficient conditions for the window search."""
-    _check_int("target k", k)
-    _check_int("slack g", g, 1)
+    k = _check_int("target k", k)
+    g = _check_int("slack g", g, 1)
     n2 = tree.total_weight
     h = 2 * tree.n_vertices - n2
     return ConditionReport(

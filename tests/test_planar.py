@@ -474,6 +474,25 @@ class TestFindHalfCycle:
         assert cycle.length in (7, 8)
         assert verify_cycle(graph, cycle)
 
+    @pytest.mark.parametrize("make, built", [
+        (lambda: square_cycle(12), []),
+        (lambda: square_cycle_fanned(12), ["interior"]),
+        (lambda: small_face_ring(12), ["interior"]),
+        (lopsided_18, ["exterior"]),
+    ], ids=["square-cycle", "dense-interior", "small-interior", "small-exterior"])
+    def test_builds_only_the_searched_dual(self, monkeypatch, make, built):
+        """Face counts and lengths come off the graph; a dual tree is built
+        only for the region that is searched."""
+        import treewindow.planar as planar_mod
+        searched, dual_tree = [], planar_mod._dual_tree
+        monkeypatch.setattr(planar_mod, "_dual_tree",
+                            lambda *args: searched.append(args[2]) or dual_tree(*args))
+        # lopsided_18 reaches the small-exterior branch only with the gate relaxed.
+        monkeypatch.setattr(planar_mod, "is_three_connected", lambda graph: True)
+        graph, ham = make()
+        assert verify_cycle(graph, find_half_cycle_3conn(graph, ham))
+        assert searched == built
+
     def test_hamilton_checked_before_connectivity(self):
         graph, _ = malkevitch(2)  # not 3-connected either
         with pytest.raises(NotHamiltonianError):

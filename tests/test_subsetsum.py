@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treewindow.cli as cli
+import treewindow.subsetsum as subsetsum
 from treewindow import (
     NOT_APPLICABLE,
     Decision,
@@ -152,6 +154,102 @@ class TestOracle:
     def test_negative_target(self):
         with pytest.raises(ValueError):
             oracle_subset_sum((1,), -1)
+
+    def test_numpy_target(self):
+        # 2 << k on an int64 k wraps around: the masks lost every sum past 62.
+        w = oracle_subset_sum((1,) * 70, np.int64(65))
+        assert verify_witness((1,) * 70, w, 65)
+        assert type(w.total) is int
+
+
+class TestGoldenWitnesses:
+    """Which subset each solver returns, not only that it is valid."""
+
+    @pytest.mark.parametrize("values, k, indices", [
+        ((1, 2, 1, 2, 1), 4, (0, 1, 2)),
+        ((1, 1, 1, 3), 4, (2, 3)),
+        ((3, 3, 3, 1, 1, 1, 1, 1), 8, (1, 2, 3, 4)),
+    ])
+    def test_dense(self, values, k, indices):
+        assert subset_sum_dense(values, k) == SubsetWitness(indices, k)
+
+    @pytest.mark.parametrize("values, indices", [
+        ((1, 1, 1, 1, 2), (0, 1, 2)),
+        ((1, 1, 3, 1), (2,)),
+        ((3, 3, 2, 2, 1, 1, 1, 1), (1, 2, 3)),
+    ])
+    def test_partition(self, values, indices):
+        half = sum(values) // 2
+        assert partition_dense(values) == Decision(True, SubsetWitness(indices, half))
+
+    @pytest.mark.parametrize("values, k, indices", [
+        ((1, 1, 1, 1, 1, 3), 3, (5,)),
+        ((3, 3, 3, 2, 1, 1, 1, 1), 7, (0, 4, 5, 6, 7)),
+        ((3, 3, 3, 2, 1, 1, 1, 1), 8, (1, 2, 3)),
+        ((2, 2, 2, 2, 2, 1), 6, (0, 1, 2)),
+        ((1, 1, 2, 2), 3, (1, 2)),
+        ((2, 1, 1, 1, 1, 1, 1, 2), 5, (0, 1, 2, 3)),
+    ], ids=["pad-other-half", "pad-other-half-long", "complement-this-half",
+            "complement-short", "no-pad", "no-pad-long"])
+    def test_via_partition(self, values, k, indices):
+        assert subset_sum_via_partition(values, k) == Decision(True, SubsetWitness(indices, k))
+
+
+class TestNumpyInput:
+    VALUES = [2, 1, 1, 1, 1, 1, 1, 2]
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_arrays_match_list(self, dtype):
+        array = np.array(self.VALUES, dtype=dtype)
+        assert partition_dense(array) == partition_dense(self.VALUES)
+        for k in range(1, sum(self.VALUES)):
+            for solve in (subset_sum_dense, subset_sum_via_partition, oracle_subset_sum):
+                assert solve(array, k) == solve(self.VALUES, k), (solve.__name__, k)
+
+    @pytest.mark.parametrize("solve", [
+        subset_sum_dense, subset_sum_via_partition, oracle_subset_sum,
+        lambda values, k: partition_dense(values),
+    ], ids=["dense", "via", "oracle", "partition"])
+    def test_two_dimensional_array_refused(self, solve):
+        with pytest.raises(ValueError, match="element 0: array"):
+            solve(np.ones((2, 4), dtype=np.int64), 2)
+
+
+class TestCheckedOnce:
+    """Each solver call, and each CLI run, checks its multiset once."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = subsetsum._check_values
+
+        def counted(values):
+            calls.append(values)
+            return check(values)
+
+        monkeypatch.setattr(subsetsum, "_check_values", counted)
+        monkeypatch.setattr(cli, "_check_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("solve, values, k", [
+        (subset_sum_dense, (1, 2, 1, 2, 1), 4),
+        (subset_sum_via_partition, (1, 1, 1, 1, 1, 3), 3),
+        (subset_sum_via_partition, (2, 2, 2), 3),
+        (oracle_subset_sum, (3, 1, 4, 1, 5), 9),
+        (lambda values, k: partition_dense(values), (1, 1, 1, 1, 2), None),
+    ], ids=["dense", "via", "via-refused", "oracle", "partition"])
+    def test_solvers(self, checks, solve, values, k):
+        solve(values, k)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["3,1,4,1,5", "9", "--fallback-oracle"],
+        ["1,1,1,1,1,3", "3"],
+        ["2,2,2", "--partition", "--fallback-oracle"],
+    ], ids=["oracle", "via", "partition-oracle"])
+    def test_cli(self, checks, capsys, argv):
+        assert cli.main(["subset-sum", *argv]) in (0, 2)
+        assert len(checks) == 1
 
 
 class TestVerifyWitness:
