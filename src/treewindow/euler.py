@@ -3,10 +3,10 @@
 Every tree with ordered neighbor lists has a single closed walk that uses
 each directed edge once: leave a vertex along the rotation successor of the
 edge you arrived by.  The walk has 2(n-1) stops; each stop names the vertex
-it leaves and the rotation index of the edge it takes.  Consecutive stops
-are at adjacent vertices, and every contiguous stop window covers a
-connected set of vertices, so sliding a window over the walk sweeps
-connected subtrees while touching each stop a bounded number of times.
+it leaves.  Consecutive stops are at adjacent vertices, and every
+contiguous stop window covers a connected set of vertices, so sliding a
+window over the walk sweeps connected subtrees while touching each stop a
+bounded number of times.
 
 The search keeps a window [s, t] of stops and the total weight of the
 distinct vertices inside it.  It alternates growing t until the weight

@@ -10,8 +10,9 @@ import random
 
 import numpy as np
 
-from .planar import HamiltonCycle, PlaneGraph
-from .tree import WeightedTree, _csr_tree
+from .errors import EmbeddingError
+from .planar import HamiltonCycle, PlaneGraph, _plane_graph
+from .tree import WeightedTree, _csr_tree, _first_non_int
 
 
 def random_tree(n: int, max_weight: int = 9, seed: int = 0) -> WeightedTree:
@@ -54,17 +55,21 @@ def convex_embedding(
     drawn inside respectively outside.  At each vertex the rotation is:
     ring successor, interior chords by ascending hop length, ring
     predecessor, exterior chords by descending hop length."""
-    at: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
-    for side, chords in enumerate((interior, exterior)):
-        for a, b in chords:
-            at[a][side].append(b)
-            at[b][side].append(a)
-    rows = []
-    for v, (ins, outs) in enumerate(at):
-        ins = sorted(ins, key=lambda w: (w - v) % n)
-        outs = sorted(outs, key=lambda w: -((w - v) % n))
-        rows.append(tuple([(v + 1) % n] + ins + [(v - 1) % n] + outs))
-    return PlaneGraph(tuple(rows)), HamiltonCycle(tuple(range(n)))
+    inside = [end for a, b in interior for end in (a, b)]
+    ends = inside + [end for a, b in exterior for end in (a, b)]
+    bad = _first_non_int(ends, 0, n)
+    if bad is not None:
+        raise EmbeddingError(f"vertex {ends[bad ^ 1]}: neighbor {ends[bad]!r} out of range")
+    # Both darts of each ring edge (v, v + 1), then of each chord, interior
+    # ones first.  By tail, side, then hop (exterior: counted backwards),
+    # they take rotation order: ring successors hop 1, predecessors n - 1.
+    ring = np.arange(n, dtype=np.int64)
+    tails = np.r_[np.c_[ring, (ring + 1) % n].ravel(), np.array(ends, dtype=np.int64)]
+    heads = tails[np.arange(len(tails)) ^ 1]
+    outer = np.arange(len(tails)) >= 2 * len(ring) + len(inside)
+    order = np.lexsort((np.where(outer, tails - heads, heads - tails) % n, outer, tails))
+    offsets = np.searchsorted(tails[order], np.arange(len(ring) + 1))
+    return _plane_graph(offsets, heads[order]), HamiltonCycle(tuple(range(n)))
 
 
 def square_cycle(n: int) -> tuple[PlaneGraph, HamiltonCycle]:
@@ -116,27 +121,27 @@ def small_face_ring(n: int) -> tuple[PlaneGraph, HamiltonCycle]:
 # Necklaces of octahedra
 # ---------------------------------------------------------------------------
 
-# One bead: the octahedron as an antiprism, outer triangle 1 2 3 and inner
-# triangle 4 5 6, rotations counterclockwise.  Vertex L of bead i becomes
-# index 6*i + L - 1.
-_BEAD_ROTATION = {
-    1: (2, 5, 4, 3),
-    2: (3, 6, 5, 1),
-    3: (1, 4, 6, 2),
-    4: (1, 5, 6, 3),
-    5: (4, 1, 2, 6),
-    6: (4, 5, 2, 3),
-}
-# Hamilton path through a bead from vertex 1 to vertex 2.
-_BEAD_PATH = (1, 4, 3, 6, 5, 2)
+# One bead: the octahedron as an antiprism, outer triangle 0 1 2 and inner
+# triangle 3 4 5, rotations counterclockwise.  Vertex L of bead i becomes
+# index 6*i + L.
+_BEAD = np.array([
+    (1, 4, 3, 2),
+    (2, 5, 4, 0),
+    (0, 3, 5, 1),
+    (0, 4, 5, 2),
+    (3, 0, 1, 5),
+    (3, 4, 1, 2),
+], dtype=np.int64)
+# Hamilton path through a bead from vertex 0 to vertex 1.
+_BEAD_PATH = np.array((0, 3, 2, 5, 4, 1))
 
 
 def malkevitch(p: int) -> tuple[PlaneGraph, HamiltonCycle]:
     """Necklace of p octahedra: 4-regular, n = 6p.
 
     For p = 1 this is the octahedron itself, which is 3-connected.  For
-    p >= 2, each bead loses its outer 1-2 edge and instead links its
-    vertex 2 to the next bead's vertex 1, closing a ring of beads; the
+    p >= 2, each bead loses its outer 0-1 edge and instead links its
+    vertex 1 to the next bead's vertex 0, closing a ring of beads; the
     link edge takes over the removed edge's slot in both rotations, so the
     embedding stays plane.  The necklace is then only 2-connected: the two
     link ends of a bead cut it from the rest.
@@ -145,24 +150,12 @@ def malkevitch(p: int) -> tuple[PlaneGraph, HamiltonCycle]:
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-
-    def idx(bead: int, label: int) -> int:
-        return 6 * (bead % p) + label - 1
-
-    rows = []
-    for bead in range(p):
-        for label in range(1, 7):
-            row = []
-            for nb in _BEAD_ROTATION[label]:
-                if p > 1 and label == 1 and nb == 2:
-                    row.append(idx(bead - 1, 2))
-                elif p > 1 and label == 2 and nb == 1:
-                    row.append(idx(bead + 1, 1))
-                else:
-                    row.append(idx(bead, nb))
-            rows.append(tuple(row))
-    order = tuple(idx(bead, label) for bead in range(p) for label in _BEAD_PATH)
-    graph = PlaneGraph(tuple(rows))
-    ham = HamiltonCycle(order)
+    start = 6 * np.arange(p)
+    beads = _BEAD + start[:, None, None]
+    # The link slots (for p = 1, the bead's own 0-1 edge).
+    beads[:, 0, 0] = np.roll(start, 1) + 1
+    beads[:, 1, 3] = np.roll(start, -1)
+    graph = _plane_graph(np.arange(0, 24 * p + 1, 4, dtype=np.int64), beads.ravel())
+    ham = HamiltonCycle(tuple((_BEAD_PATH + start[:, None]).ravel().tolist()))
     ham.validate(graph)
     return graph, ham

@@ -32,9 +32,6 @@ MAX_TOTAL_WEIGHT = 1 << 62
 # An exhaustive oracle run is refused above this many table cells.
 ORACLE_CELL_BOUND = 10**8
 
-# Stops per block of the gap build.
-_BLOCK = 1 << 16
-
 
 def _first_non_int(values, lo, hi) -> int | None:
     """Index of the first entry of values that is not an integer in
@@ -203,23 +200,18 @@ def _next_visit_gaps(darts, offsets) -> np.ndarray:
 
     A vertex's darts are taken in rotation order, so the visit after the
     stop that takes dart d is the stop that takes the dart after d in the
-    rotation.  Built in blocks, so that no temporary is as long as the
-    walk."""
+    rotation."""
     length = len(darts)
+    if not length:  # a single vertex
+        return np.zeros(1, dtype=np.int32)
     at = np.empty(length + 1, dtype=np.int32)  # 1 + the stop taking each dart
-    for lo in range(0, length, _BLOCK):
-        hi = min(lo + _BLOCK, length)
-        at[darts[lo:hi]] = np.arange(1 + lo, 1 + hi, dtype=np.int32)
-    gaps = np.zeros(length + 1, dtype=np.int32)
-    for lo in range(0, length, _BLOCK):  # in dart order
-        hi = min(lo + _BLOCK, length)
-        gap = at[lo + 1:hi + 1] - at[lo:hi]
-        # The vertices whose last dart is in the block turn to their first.
-        v, w = np.searchsorted(offsets, (lo, hi), "right")
-        last = offsets[v:w] - 1
-        gap[last - lo] = at[offsets[v - 1:w - 1]] - at[last]
-        gap += (gap <= 0) * np.int32(length)
-        gaps[at[lo:hi]] = gap
+    at[darts] = np.arange(1, length + 1, dtype=np.int32)
+    gap = at[1:] - at[:-1]  # in dart order
+    last = offsets[1:] - 1  # each vertex's last dart turns to its first
+    gap[last] = at[offsets[:-1]] - at[last]
+    gap += (gap <= 0) * np.int32(length)
+    gaps = np.empty(length + 1, dtype=np.int32)
+    gaps[at[:-1]] = gap
     gaps[0] = gaps[length]
     return gaps
 

@@ -428,6 +428,59 @@ def _noncrossing_chords(rng, n, taken):
     return chords
 
 
+def oracle_convex_rows(n, interior, exterior):
+    """(rows, hamilton order) of convex_embedding(n, interior, exterior),
+    row by row: at each vertex the ring successor, interior chords by
+    ascending hop, the ring predecessor, exterior chords by descending
+    hop."""
+    at = [([], []) for _ in range(n)]
+    for side, chords in enumerate((interior, exterior)):
+        for a, b in chords:
+            at[a][side].append(b)
+            at[b][side].append(a)
+    rows = []
+    for v, (ins, outs) in enumerate(at):
+        ins = sorted(ins, key=lambda w: (w - v) % n)
+        outs = sorted(outs, key=lambda w: -((w - v) % n))
+        rows.append(tuple([(v + 1) % n] + ins + [(v - 1) % n] + outs))
+    return tuple(rows), tuple(range(n))
+
+
+# One octahedron bead, labels 1..6: outer triangle 1 2 3, inner 4 5 6.
+_BEAD_ROTATION = {
+    1: (2, 5, 4, 3),
+    2: (3, 6, 5, 1),
+    3: (1, 4, 6, 2),
+    4: (1, 5, 6, 3),
+    5: (4, 1, 2, 6),
+    6: (4, 5, 2, 3),
+}
+_BEAD_PATH = (1, 4, 3, 6, 5, 2)
+
+
+def oracle_malkevitch_rows(p):
+    """(rows, hamilton order) of malkevitch(p), bead by bead: label L of
+    bead i is vertex 6*i + L - 1, and for p >= 2 bead i's 1-2 edge becomes
+    links from its 1 to bead i - 1's 2 and from its 2 to bead i + 1's 1,
+    in the same rotation slots."""
+    def idx(bead, label):
+        return 6 * (bead % p) + label - 1
+
+    rows = []
+    for bead in range(p):
+        for label in range(1, 7):
+            row = []
+            for nb in _BEAD_ROTATION[label]:
+                if p > 1 and label == 1 and nb == 2:
+                    row.append(idx(bead - 1, 2))
+                elif p > 1 and label == 2 and nb == 1:
+                    row.append(idx(bead + 1, 1))
+                else:
+                    row.append(idx(bead, nb))
+            rows.append(tuple(row))
+    return tuple(rows), tuple(idx(bead, label) for bead in range(p) for label in _BEAD_PATH)
+
+
 def min_degree_chords(rng, n):
     """Non-crossing chords inside and outside the convex n-gon 0..n-1,
     drawn toward minimum degree 4: while a vertex has degree < 4, one of

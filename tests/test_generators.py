@@ -1,8 +1,20 @@
 """Instance generators: determinism, structure, cycle spectra."""
 
+import random
+import re
+
+import numpy as np
 import pytest
 
-from treewindow import EmbeddingError, parse_graph, serialize_graph, serialize_tree
+from treewindow import (
+    EmbeddingError,
+    HamiltonCycle,
+    PlaneGraph,
+    generators,
+    parse_graph,
+    serialize_graph,
+    serialize_tree,
+)
 from treewindow.generators import (
     convex_embedding,
     malkevitch,
@@ -11,7 +23,16 @@ from treewindow.generators import (
     square_cycle,
     square_cycle_fanned,
 )
-from helpers import naive_cycle_lengths
+from helpers import (
+    _noncrossing_chords,
+    naive_cycle_lengths,
+    oracle_convex_rows,
+    oracle_malkevitch_rows,
+)
+
+
+def rows_text(rows, order) -> str:
+    return serialize_graph(PlaneGraph(rows), HamiltonCycle(order))
 
 
 class TestRandomTree:
@@ -49,6 +70,60 @@ class TestConvexEmbedding:
         graph, ham = convex_embedding(4, [(0, 2)], [(1, 3)])
         assert graph.n_edges == 6
         ham.validate(graph)
+
+    @pytest.mark.parametrize("end", [6, 2.0, -1, True])
+    def test_bad_chord_end(self, end):
+        message = f"^vertex 0: neighbor {re.escape(repr(end))} out of range$"
+        for sides in (([(0, end)], []), ([], [(0, end)]), ([(end, 0)], []),
+                      ([(np.int64(0), end)], [])):
+            with pytest.raises(EmbeddingError, match=message):
+                convex_embedding(6, *sides)
+
+
+class TestAgainstRows:
+    """The generators write CSR arrays; the row builders they replaced
+    hold them byte for byte."""
+
+    @pytest.mark.parametrize("family, n", [
+        *((square_cycle, n) for n in (6, 8, 14, 3000)),
+        *((square_cycle_fanned, n) for n in (8, 10, 20, 3000)),
+        *((small_face_ring, n) for n in (12, 18, 36, 3000)),
+    ])
+    def test_family(self, family, n, monkeypatch):
+        calls = []
+        embed = generators.convex_embedding
+        monkeypatch.setattr(generators, "convex_embedding",
+                            lambda *args: calls.append(args) or embed(*args))
+        assert serialize_graph(*family(n)) == rows_text(*oracle_convex_rows(*calls[0]))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 17])
+    def test_malkevitch(self, p):
+        assert serialize_graph(*malkevitch(p)) == rows_text(*oracle_malkevitch_rows(p))
+
+    def test_random_chords(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randrange(3, 30)
+            taken = set()
+            chords = _noncrossing_chords(rng, n, taken), _noncrossing_chords(rng, n, taken)
+            assert (serialize_graph(*convex_embedding(n, *chords))
+                    == rows_text(*oracle_convex_rows(n, *chords)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PlaneGraph(((1, 2), (2, 0), (0, 1))),
+    lambda: parse_graph("graph 3\n0: 1 2\n1: 2 0\n2: 0 1\nhamilton: 0 1 2\n")[0],
+    lambda: convex_embedding(6, [(0, 2)], [(1, 3)])[0],
+    lambda: square_cycle(8)[0],
+    lambda: square_cycle_fanned(8)[0],
+    lambda: small_face_ring(12)[0],
+    lambda: malkevitch(2)[0],
+], ids=["PlaneGraph", "parse_graph", "convex_embedding", "square_cycle",
+        "square_cycle_fanned", "small_face_ring", "malkevitch"])
+def test_graph_arrays_read_only_int64(build):
+    graph = build()
+    for array in (graph.offsets, graph.neighbors):
+        assert array.dtype == np.int64 and not array.flags.writeable
 
 
 class TestFamilies:

@@ -72,8 +72,9 @@ class TestPathTree:
 
 
 class TestBuiltComplete:
-    """Every constructor leaves the tree complete: the walk's next-visit
-    gaps are there, read-only, and a search only reads the tree."""
+    """Every constructor leaves the tree complete: its arrays are int64
+    and the walk's next-visit gaps int32, all read-only, and a search only
+    reads the tree."""
 
     @pytest.mark.parametrize("build", [
         lambda: WeightedTree((2, 1, 3), ((1,), (0, 2), (1,))),
@@ -82,9 +83,12 @@ class TestBuiltComplete:
         lambda: random_tree(200, 5, 4),
         lambda: build_dual_tree(*square_cycle(12), "interior").tree,
         lambda: WeightedTree((4,), ((),)),
-    ], ids=["WeightedTree", "parse_tree", "path_tree", "random_tree", "dual", "single"])
+        lambda: star_tree(3, (1, 2, 2)),
+    ], ids=["WeightedTree", "parse_tree", "path_tree", "random_tree", "dual", "single", "star"])
     def test_gaps_built_and_search_reads_only(self, build):
         tree = build()
+        assert all(getattr(tree, name).dtype == np.int64
+                   for name in ("weights", "offsets", "neighbors", "_stops"))
         gaps, stops = tree._gaps, tree._stops.tolist()
         assert not gaps.flags.writeable and gaps.dtype == np.int32
         length = len(stops)
