@@ -69,8 +69,9 @@ class EulerCycle:
 
 
 def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
-    """The closed walk of a tree.  The tree walked it when it was built,
-    in O(n): array passes, one sort, and one Python pass along the walk.
+    """The closed walk of a tree.  The tree walked it when it was built:
+    array passes, one sort, and then one Python pass along a short walk
+    or whole-array list-ranking rounds along a long one.
 
     Raises DegenerateTreeError for a single-vertex tree, which has no walk;
     callers treat that case directly.

@@ -214,6 +214,65 @@ def oracle_walk(adjacency) -> list[tuple[int, int]]:
     return stops
 
 
+def oracle_pair_darts(offsets, neighbors, error_cls):
+    """The dart pairing of treewindow.tree._pair_darts as one stable
+    argsort of the keys min * n + max, for any size: reverse[d] is the
+    dart opposite d, or error_cls with _pair_darts' message."""
+    n = len(offsets) - 1
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    bad = np.flatnonzero((neighbors < 0) | (neighbors >= n) | (neighbors == tails))
+    if bad.size:
+        v, u = int(tails[bad[0]]), int(neighbors[bad[0]])
+        raise error_cls(f"vertex {v}: self loop" if u == v
+                        else f"vertex {v}: neighbor {u} out of range")
+    keys = np.minimum(tails, neighbors) * n + np.maximum(tails, neighbors)
+    order = np.argsort(keys, kind="stable")
+    keys, tails = keys[order], tails[order]
+    same = keys[1:] == keys[:-1]
+    dup = same & (tails[1:] == tails[:-1])
+    if dup.any():
+        raise error_cls(f"vertex {tails[1:][dup].min()}: duplicate neighbor")
+    single = np.ones(len(keys), dtype=bool)
+    single[1:] &= ~same
+    single[:-1] &= ~same
+    if single.any():
+        a, b = divmod(int(keys[single][0]), n)
+        raise error_cls(f"edge {(a, b)} is not listed by both endpoints")
+    reverse = np.empty_like(order)
+    reverse[order[0::2]] = order[1::2]
+    reverse[order[1::2]] = order[0::2]
+    return reverse
+
+
+def oracle_tree_walk(offsets, neighbors) -> tuple[list[int], list[int]]:
+    """The stops and next-visit gaps a tree's CSR arrays get, checked and
+    walked one dart at a time: from dart 0, arriving along a dart, leave
+    by the next dart in the head's rotation.  Raises NotATreeError with
+    treewindow.tree._csr_tree's message for arrays that are not a tree
+    (weights aside)."""
+    n = len(offsets) - 1
+    reverse = oracle_pair_darts(offsets, neighbors, NotATreeError).tolist()
+    if len(neighbors) != 2 * (n - 1):
+        raise NotATreeError(
+            f"{len(neighbors) // 2} edges for {n} vertices; a tree has {n - 1}")
+    off, heads = offsets.tolist(), neighbors.tolist()
+    tails = [v for v in range(n) for _ in range(off[v], off[v + 1])]
+    darts, d = [], 0
+    for _ in heads:
+        darts.append(d)
+        back = reverse[d]
+        d = back + 1 if back + 1 < off[heads[d] + 1] else off[heads[d]]
+    if darts.count(0) > 1 or n > 1 and any(a == b for a, b in zip(off, off[1:])):
+        raise NotATreeError("adjacency is disconnected")
+    stops = [tails[d] for d in darts]
+    length, last, gaps = len(stops), {}, [0] * len(stops)
+    for i in reversed(range(2 * length)):  # twice round: the next visit may wrap
+        v = stops[i % length]
+        gaps[i % length] = last.get(v, i + length) - i
+        last[v] = i
+    return stops, (gaps[-1:] + gaps if length else [0])
+
+
 def walk_rotation(cycle) -> list[int]:
     """Each stop's rotation index, worked out from the walk's vertices: the
     position of the next stop's vertex in the stop's neighbor list."""

@@ -1,5 +1,8 @@
 """Weighted trees: validation, file format, conditions, weight oracle."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +29,11 @@ from treewindow import (
     subset_sum_via_partition,
     tight_instance,
 )
-from treewindow.generators import random_tree, square_cycle
-from treewindow.tree import ORACLE_CELL_BOUND
-from helpers import (FUZZ_TOKENS, naive_subtree_weights, oracle_parse_tree, oracle_walk,
-                     walk_rotation)
+from treewindow.generators import random_tree, square_cycle, square_cycle_fanned
+from treewindow.tree import (ORACLE_CELL_BOUND, _LONG_DARTS, _csr_tree, _is_ruler,
+                             _nearly_sorted, _pair_darts, _tails)
+from helpers import (FUZZ_TOKENS, naive_subtree_weights, oracle_pair_darts, oracle_parse_tree,
+                     oracle_tree_walk, oracle_walk, walk_rotation)
 
 PROPERTY_SETTINGS = settings(max_examples=260, deadline=None)
 
@@ -101,6 +105,284 @@ class TestBuiltComplete:
         assert find_subtree(tree, tree.total_weight, 1).weight == tree.total_weight
         assert all(getattr(tree, name) is value for name, value in before.items())
         assert all(not a.flags.writeable for a in before.values() if isinstance(a, np.ndarray))
+
+
+# ---------------------------------------------------------------------------
+# The list-ranked walk and the packed pairing against scalar references
+# ---------------------------------------------------------------------------
+
+# Vertices of the smallest tree whose walk is list-ranked.
+RANKED = _LONG_DARTS // 2 + 1
+
+
+def _outcome(build, *args):
+    """What build(*args) returns, or the class and message it raises."""
+    try:
+        return build(*args)
+    except TreeWindowError as exc:
+        return type(exc), str(exc)
+
+
+def _csr_arrays(rows):
+    """The CSR offsets and neighbors of rows, ids unchecked."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    return offsets, np.array([u for row in rows for u in row], dtype=np.int64)
+
+
+def _path_rows(n):
+    return [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+
+
+def _ruler_free_path(n):
+    """Rows of the path 0 - 1 - ... - n-1 whose rotations send each step
+    away from vertex 0 along a dart that is not a ruler, so the first half
+    of the walk holds no ruler but dart 0."""
+    rows = _path_rows(n)
+    inner = np.arange(1, n - 1)  # vertex v's darts are 2v - 1 and 2v
+    for v in inner[~_is_ruler(2 * inner - 1)].tolist():
+        rows[v].reverse()  # the step to v + 1 takes dart 2v - 1
+    return rows
+
+
+def _caterpillar_rows(spine, legs):
+    rows = _path_rows(spine)
+    for v in range(spine):
+        for _ in range(legs):
+            rows[v].append(len(rows))
+            rows.append([v])
+    return rows
+
+
+class TestWalkAgainstScalar:
+    """Every tree's stops and gaps equal those of the walk stepped one
+    dart at a time, on both sides of the size where walks are
+    list-ranked."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, RANKED - 1, RANKED, RANKED + 1, 3 * RANKED])
+    def test_random_trees(self, n):
+        tree = random_tree(n, 9, n)
+        assert (tree._stops.tolist(), tree._gaps.tolist()) == oracle_tree_walk(
+            tree.offsets, tree.neighbors)
+
+    @pytest.mark.parametrize("rows", [
+        _path_rows(RANKED + 7),
+        [list(range(1, RANKED + 7))] + [[0]] * (RANKED + 6),
+        [list(range(RANKED + 6, 0, -1))] + [[0]] * (RANKED + 6),
+        _caterpillar_rows(RANKED // 4, 3),
+        _caterpillar_rows(RANKED, 1),
+        _ruler_free_path(2 * RANKED),
+    ], ids=["path", "star", "star-reversed", "caterpillar", "comb", "ruler-free-path"])
+    def test_shapes(self, rows):
+        tree = WeightedTree([1] * len(rows), rows)
+        assert (tree._stops.tolist(), tree._gaps.tolist()) == oracle_tree_walk(
+            tree.offsets, tree.neighbors)
+
+    def test_ruler_free_stretch(self):
+        """The walk of _ruler_free_path steps n - 1 darts before its second
+        ruler."""
+        n = 2 * RANKED
+        rows = _ruler_free_path(n)
+        offsets, _ = _csr_arrays(rows)
+        out = [offsets[v] + rows[v].index(v + 1) for v in range(n - 1)]
+        assert _is_ruler(np.array(out)).tolist() == [True] + [False] * (n - 2)
+
+    def test_parse_shuffled_lines(self):
+        tree = random_tree(RANKED + 500, 9, 5)
+        header, *lines = serialize_tree(tree).splitlines()
+        random.Random(3).shuffle(lines)
+        parsed = parse_tree("\n".join([header, *lines]) + "\n")
+        assert parsed == tree
+        assert parsed._stops.tolist() == tree._stops.tolist()
+        assert parsed._gaps.tolist() == tree._gaps.tolist()
+
+
+def _mutate_rows(rng, rows):
+    """rows with one random defect: a duplicate neighbor, a one-sided
+    edge, a self loop, an out-of-range id, an edge too many or too few,
+    or an edge moved into a cycle (n - 1 edges, disconnected)."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    v, u = rng.randrange(n), rng.randrange(n)
+    kind = rng.choice(["dup", "one_sided", "self", "range", "extra", "drop", "move"])
+    if kind == "dup" and rows[v]:
+        rows[v].insert(rng.randrange(len(rows[v]) + 1), rng.choice(rows[v]))
+    elif kind == "one_sided":
+        rows[v].insert(rng.randrange(len(rows[v]) + 1), u)
+    elif kind == "self":
+        rows[v].append(v)
+    elif kind == "range":
+        rows[v].insert(rng.randrange(len(rows[v]) + 1), rng.choice([-1, n, n + 5, -n - 1]))
+    elif kind == "extra" and u != v and u not in rows[v]:
+        rows[v].append(u)
+        rows[u].insert(0, v)
+    elif kind in ("drop", "move") and rows[v]:
+        w = rows[v].pop(rng.randrange(len(rows[v])))
+        if 0 <= w < n and v in rows[w]:  # an earlier defect may leave it one-sided
+            rows[w].remove(v)
+        if kind == "move":  # join two vertices on the same side of the cut
+            side, todo = {v}, [v]
+            while todo:
+                for x in rows[todo.pop()]:
+                    if x not in side:
+                        side.add(x)
+                        todo.append(x)
+            a, b = rng.choice(sorted(side)), rng.choice(sorted(side))
+            if a != b and b not in rows[a]:
+                rows[a].append(b)
+                rows[b].append(a)
+    return rows
+
+
+def _two_parts(a, cycle):
+    """Rows of a path on vertices 0..a-1 and a cycle on the next cycle
+    vertices: a + cycle - 1 edges on a + cycle vertices, not a tree."""
+    rows = _path_rows(a) + [[] for _ in range(cycle)]
+    for i in range(cycle):
+        v, w = a + i, a + (i + 1) % cycle
+        rows[v].append(w)
+        rows[w].append(v)
+    return rows
+
+
+def _pair_keys(offsets, neighbors):
+    """The pairing keys min * n + max of CSR arrays, and n."""
+    n, tails = len(offsets) - 1, _tails(offsets)
+    return np.minimum(tails, neighbors) * n + np.maximum(tails, neighbors), n
+
+
+class TestPairingSort:
+    """Darts are paired by a stable argsort where their keys are nearly
+    sorted and by a plain sort of packed keys elsewhere, with the same
+    reverse darts either way."""
+
+    @pytest.mark.parametrize("n", [300, 3000, 6 * RANKED])
+    def test_sortedness(self, n):
+        """From a few hundred darts up; below, either sort takes
+        microseconds and the sample may call either."""
+        g, h = square_cycle(n)
+        fanned, _ = square_cycle_fanned(n)
+        duals = [build_dual_tree(g, h, side).tree for side in ("interior", "exterior")]
+        for offsets, neighbors, nearly in [(g.offsets, g.neighbors, True),
+                                           (fanned.offsets, fanned.neighbors, False),
+                                           *((d.offsets, d.neighbors, True) for d in duals)]:
+            assert _nearly_sorted(*_pair_keys(offsets, neighbors)) == nearly
+            assert np.array_equal(_pair_darts(offsets, neighbors, NotATreeError),
+                                  oracle_pair_darts(offsets, neighbors, NotATreeError))
+        tree = random_tree(n, 9, 1)
+        assert not _nearly_sorted(*_pair_keys(tree.offsets, tree.neighbors))
+
+    def test_no_darts(self):
+        assert not _nearly_sorted(np.zeros(0, dtype=np.int64), 1)
+        assert _pair_darts(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                           NotATreeError).tolist() == []
+
+
+class TestErrorsAgainstScalar:
+    """Malformed CSR arrays raise the class and message of the stable-sort
+    pairing and the dart-by-dart walk, on both sides of the size where
+    walks are list-ranked."""
+
+    def _check(self, rows):
+        offsets, neighbors = _csr_arrays(rows)
+        weights = np.ones(len(rows), dtype=np.int64)
+        expected = _outcome(oracle_pair_darts, offsets, neighbors, NotATreeError)
+        got = _outcome(_pair_darts, offsets, neighbors, NotATreeError)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.tolist() == expected.tolist() and got.dtype == expected.dtype
+        tree = _outcome(_csr_tree, weights, offsets, neighbors)
+        expected = _outcome(oracle_tree_walk, offsets, neighbors)
+        if isinstance(tree, WeightedTree):
+            tree = tree._stops.tolist(), tree._gaps.tolist()
+        assert tree == expected
+        return expected
+
+    def test_small_fuzz(self):
+        rng = random.Random(11)
+        for case in range(600):
+            tree = random_tree(rng.randint(1, 12), 3, case)
+            rows = [list(row) for row in tree.adjacency]
+            for _ in range(rng.randint(1, 2)):
+                rows = _mutate_rows(rng, rows)
+            self._check(rows)
+
+    @pytest.mark.parametrize("shape", ["random", "path"])
+    def test_ranked_fuzz(self, shape):
+        """Random trees pair their darts by the packed sort, paths by the
+        stable argsort."""
+        rng = random.Random(12)
+        rows = ([list(row) for row in random_tree(RANKED + 100, 3, 7).adjacency]
+                if shape == "random" else _path_rows(RANKED + 100))
+        assert _nearly_sorted(*_pair_keys(*_csr_arrays(rows))) == (shape == "path")
+        for _ in range(16):
+            self._check(_mutate_rows(rng, rows))
+
+    def test_tiny(self):
+        assert self._check([[]]) == ([], [0])
+        assert self._check([[1], [0]]) == ([0, 1], [2, 2, 2])
+        assert self._check([[0]]) == (NotATreeError, "vertex 0: self loop")
+        assert self._check([[1, 1], [0, 0]]) == (NotATreeError, "vertex 0: duplicate neighbor")
+
+    @pytest.mark.parametrize("a, cycle", [(RANKED, 3), (RANKED, 5000), (5, RANKED)],
+                             ids=["small-cycle", "large-cycle", "small-path"])
+    def test_disconnected(self, a, cycle):
+        """n - 1 edges in a path and a cycle: the orbit of dart 0 misses
+        the cycle's two faces, whether or not they hold rulers."""
+        if cycle == 3:  # the triangle's darts are the last six; none a ruler
+            while _is_ruler(np.arange(2 * a - 2, 2 * a + 4)).any():
+                a += 1
+        rows = _two_parts(a, cycle)
+        offsets, _ = _csr_arrays(rows)
+        off_orbit = np.arange(offsets[a], offsets[-1])
+        assert _is_ruler(off_orbit).any() == (cycle > 3)
+        assert self._check(rows) == (NotATreeError, "adjacency is disconnected")
+
+    def test_argsort_fallback(self):
+        """Past n**2 * 2**bits >= 2**63 the keys are sorted by a stable
+        argsort, with the same results."""
+        edges = 1 << 20
+        n = 1482911  # the least n with n**2 << 22 >= 1 << 63
+        assert n * n << (2 * edges).bit_length() >= 1 << 63 > (n - 1) ** 2 << 22
+        # A path on the last edges + 1 vertices, which keeps its keys near
+        # n**2; each inner vertex lists its lower neighbor first.
+        first = n - edges - 1
+        degrees = np.zeros(n, dtype=np.int64)
+        degrees[first + 1:n - 1] = 2
+        degrees[[first, n - 1]] = 1
+        offsets = np.r_[0, np.cumsum(degrees)]
+        inner = np.c_[np.arange(edges - 1), np.arange(2, edges + 1)].ravel()
+        neighbors = first + np.r_[1, inner, edges - 1]
+        for defect in (None, "dup", "one_sided"):
+            nbrs = neighbors.copy()
+            if defect == "dup":
+                nbrs[3] = nbrs[4]
+            elif defect == "one_sided":
+                nbrs[-1] -= 1
+            expected = _outcome(oracle_pair_darts, offsets, nbrs, NotATreeError)
+            got = _outcome(_pair_darts, offsets, nbrs, NotATreeError)
+            if defect:
+                assert got == expected and got[0] is NotATreeError
+            else:
+                assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [2 * 10**4, 2 * 10**5])
+def test_tree_build_memory_per_dart(n):
+    """Building a tree allocates at most 38 bytes per dart at its peak;
+    the tree keeps 12 (its stops and gaps) of them."""
+    tree = random_tree(n, 9, 1)
+    arrays = [getattr(tree, name).copy() for name in ("weights", "offsets", "neighbors")]
+    del tree
+    tracemalloc.start()
+    try:
+        tree = _csr_tree(*arrays)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.n_vertices == n
+    assert peak < 38 * (2 * n - 2)
 
 
 class TestIntegerArguments:
