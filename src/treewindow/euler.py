@@ -70,8 +70,8 @@ class EulerCycle:
 
 def build_euler_cycle(tree: WeightedTree) -> EulerCycle:
     """The closed walk of a tree.  The tree walked it when it was built:
-    array passes, one sort, and then one Python pass along a short walk
-    or whole-array list-ranking rounds along a long one.
+    array passes, one sort, and list ranking from dart 0; a dual tree
+    reads it off the hamilton order instead.
 
     Raises DegenerateTreeError for a single-vertex tree, which has no walk;
     callers treat that case directly.

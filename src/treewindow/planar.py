@@ -5,10 +5,12 @@ tree as int64 CSR arrays.  Building one walks every face once; the rest is
 read off that walk and the hamilton positions with whole-array
 operations.  A hamilton cycle drawn in the plane splits the other edges
 (chords) into two regions, and each region's faces form a tree under
-adjacency across chords.  With face weight length - 2, the boundary of a
-connected face set S is a cycle of length weight(S) + 2.  That turns "find
-a cycle of length near k" into "find a subtree of weight near k-2", which
-the window search answers in linear time.
+adjacency across chords.  Its closed walk crosses the chords in hamilton
+order, so it is read off that order, and checked to be a tree's walk.
+With face weight length - 2, the boundary of a connected face set S is a
+cycle of length weight(S) + 2.  That turns "find a cycle of length near
+k" into "find a subtree of weight near k-2", which the window search
+answers in linear time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     NotHamiltonianError,
     PreconditionError,
     StructureError,
-    TreeWindowError,
     WeightExceedsTargetError,
 )
 from .euler import find_subtree
@@ -34,14 +35,15 @@ from .tree import (
     _check_int,
     _csr,
     _csr_rows,
-    _csr_tree,
     _first_non_int,
     _pair_darts,
     _read_header,
     _read_rows,
     _spans_subtree,
+    _store,
     _successor,
     _tails,
+    _totals,
 )
 
 
@@ -193,7 +195,8 @@ def _sides(graph: PlaneGraph, ham: HamiltonCycle):
     region B's chords.  Returns the order as an array, per dart whether it
     is a chord and whether the angle after it lies in A (the face of dart
     d lies in the region of the angle after reverse(d)), whether A is the
-    interior, and per face whether it lies in the interior."""
+    interior, per face whether it lies in the interior, and per dart its
+    turn, its place in the rotation counted from the cycle successor."""
     seq, following = _hamilton_darts(graph, ham.order)
     reverse, offsets = graph._reverse, graph.offsets
     preceding = np.empty_like(following)
@@ -216,12 +219,12 @@ def _sides(graph: PlaneGraph, ham: HamiltonCycle):
     a_inside = a_chords > b_chords or a_chords == b_chords and (
         not b_chords or bool(in_a[np.argmax(chord)]))  # the first chord's side
     interior = in_a[reverse[graph._walk[graph._face_offsets[:-1]]]] == a_inside
-    return seq, chord, in_a, a_inside, interior
+    return seq, chord, in_a, a_inside, interior, turn
 
 
 def split_by_hamilton(graph: PlaneGraph, ham: HamiltonCycle) -> Split:
     """Partition the chords into the two regions of the hamilton cycle."""
-    _, chord, in_a, a_inside, _ = _sides(graph, ham)
+    _, chord, in_a, a_inside, _, _ = _sides(graph, ham)
     tails, n = _tails(graph.offsets), graph.n_vertices
     keys = tails * n + graph.neighbors
     chord &= tails < graph.neighbors  # each chord once, from its smaller end
@@ -272,8 +275,8 @@ def build_dual_tree(
 
     The region's faces, in the graph's face order, become the dual
     vertices; each face's chord darts, in walk order, give its dual
-    neighbors.  Checks the text-book facts: the result is a tree and its
-    weights sum to n - 2.
+    neighbors.  The dual's closed walk is read off the hamilton order, and
+    checked: the result is a tree and its weights sum to n - 2.
     """
     if side not in ("interior", "exterior"):
         raise ValueError(f"side must be 'interior' or 'exterior', got {side!r}")
@@ -281,7 +284,7 @@ def build_dual_tree(
 
 
 def _dual_tree(graph: PlaneGraph, sides, side: str) -> DualTree:
-    seq, chord, _, _, interior = sides
+    seq, chord, _, a_inside, interior, turn = sides
     in_region = interior if side == "interior" else ~interior
     n = graph.n_vertices
     walk, reverse, bounds = graph._walk, graph._reverse, graph._face_offsets
@@ -292,18 +295,36 @@ def _dual_tree(graph: PlaneGraph, sides, side: str) -> DualTree:
     dual_of[walk] = np.repeat(np.cumsum(in_region) - 1, lengths)
 
     darts = walk[on_region & chord[walk]]  # the region's chord darts, walk order
-    tails, heads = dual_of[darts], dual_of[reverse[darts]]
-    try:
-        tree = _csr_tree(lengths[ids] - 2,
-                         np.r_[0, np.cumsum(np.bincount(tails, minlength=len(ids)))], heads)
-    except TreeWindowError as exc:
-        raise StructureError(f"face adjacency of the {side} region is not a tree: {exc}")
+    index = np.full(len(walk), -1)  # per dart, its index among darts
+    index[darts] = np.arange(len(darts))
+    back = index[reverse[darts]]  # the dual's reverse darts
+    not_tree = StructureError(f"face adjacency of the {side} region is not a tree")
+    if len(darts) != 2 * (len(ids) - 1) or (back < 0).any():
+        raise not_tree
+    tails = dual_of[darts]
+    neighbors = tails[back]
+    offsets = np.r_[0, np.cumsum(np.bincount(tails, minlength=len(ids)))]
+    # The closed walk round the dual crosses each chord next to one end,
+    # in hamilton order round the region: chord darts by the place of
+    # their tail, descending in region A and ascending in B, and at one
+    # vertex in rotation order.  If successor steps through every dart in
+    # that order, the faces are connected, and with one edge fewer than
+    # faces they form a tree.
+    primal_tails = _tails(graph.offsets)
+    place = np.empty(n, dtype=np.int64)
+    place[seq] = np.arange(n)
+    at = place[primal_tails[darts]]
+    tour = np.lexsort((turn[darts], -at if a_inside == (side == "interior") else at))
+    tour = np.roll(tour, -int(np.argmax(tour == 0))) if len(tour) else tour
+    if (_successor(offsets, neighbors, back)[tour] != np.roll(tour, -1)).any():
+        raise not_tree
+    weights = lengths[ids] - 2
+    tree = _store(None, _totals(weights), weights, offsets, neighbors, tails[tour], tour)
     if tree.total_weight != n - 2:
         raise StructureError(
             f"face weights sum to {tree.total_weight}, expected n - 2 = {n - 2}"
         )
 
-    primal_tails = _tails(graph.offsets)
     face_offsets = np.r_[0, np.cumsum(lengths[ids])]
     face_vertices = primal_tails[walk[on_region]]
     chords = np.c_[primal_tails[darts], graph.neighbors[darts]]
@@ -503,7 +524,7 @@ def find_half_cycle_3conn(graph: PlaneGraph, ham: HamiltonCycle) -> CycleResult:
         raise PreconditionError("graph is not 3-connected")
 
     lengths = np.diff(graph._face_offsets)
-    interior = sides[-1]
+    _, _, _, _, interior, _ = sides
     dense = n + np.count_nonzero(interior) - 1 > 3 * n // 2  # one interior edge per chord
     # A dense interior is searched first.  Otherwise both regions have
     # exactly 3n/2 edges (edge counts are tied), so the interior/exterior

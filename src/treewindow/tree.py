@@ -97,9 +97,9 @@ class WeightedTree(_Rotation):
     and max_weight are ints.  WeightedTree(weights, adjacency) takes
     sequences, numpy integers included; bool and float weights are refused.
     Building a tree walks it once, which proves it connected: the darts
-    are paired by one sort and the walk from dart 0 is list-ranked when
-    long.  The tree keeps that walk for euler.build_euler_cycle and the
-    walk's next-visit gaps for euler.find_subtree, which only reads them.
+    are paired by one sort and the walk from dart 0 is list-ranked.  The
+    tree keeps that walk for euler.build_euler_cycle and the walk's
+    next-visit gaps for euler.find_subtree, which only reads them.
     """
 
     __slots__ = ("weights", "total_weight", "max_weight", "_stops", "_gaps")
@@ -157,27 +157,19 @@ def _csr_tree(weights, offsets, neighbors, tree=None) -> WeightedTree:
     degrees = np.diff(offsets)
     if tour is None or n > 1 and not degrees.all():
         raise NotATreeError("adjacency is disconnected")
-    return _store(tree, totals, weights, offsets, neighbors, _tails(offsets)[tour], tour)
+    # The walk is closed, so each stop's vertex is the head of the dart
+    # before it.
+    return _store(tree, totals, weights, offsets, neighbors, neighbors[np.roll(tour, 1)], tour)
 
 
-# List ranking (Anderson-Miller 1990): from _LONG_DARTS darts up, about
-# one dart in 2**_RULER_BITS is a ruler, and once fewer than
-# _ROUND_WALKERS walkers are left they step one at a time.  On random
-# trees 6 ruler bits were the fastest of 5 to 8 at 3 * 10**5 vertices and
-# below (7 were 10% faster at 10**6), and 64, 128 or 256 walkers timed
-# alike.  Shorter walks, such as the dual trees of a cycle search, are
-# stepped whole in one loop: ranked with dart 0 as their only ruler, the
-# 3,000-dart walks of square_cycle(3000)'s duals took 264-380 us against
-# the loop's 227-318 us.
+# List ranking (Anderson-Miller 1990): about one dart in 2**_RULER_BITS is
+# a ruler, and once fewer than _ROUND_WALKERS walkers are left they step
+# one at a time, so below about _ROUND_WALKERS * 2**_RULER_BITS darts no
+# round runs.  On random trees 6 ruler bits were the fastest of 5 to 8 at
+# 3 * 10**5 vertices and below (7 were 10% faster at 10**6), and 64, 128
+# or 256 walkers timed alike.
 _RULER_BITS = 6
 _ROUND_WALKERS = 128
-_LONG_DARTS = 1 << 15
-
-# Pairing keys that jump less than n * n / _SORTED_JUMP per dart on average
-# are nearly sorted (see _nearly_sorted).  Of the inputs measured, those
-# that sort faster packed jump n * n / 10 (fanned square cycles) or more;
-# the others n * n / 76 or less.
-_SORTED_JUMP = 32
 
 
 def _is_ruler(darts) -> np.ndarray:
@@ -193,20 +185,12 @@ def _orbit_of_zero(successor) -> np.ndarray | None:
     darts in walk order; None unless it holds every dart.  Overwrites
     successor.
 
-    A long orbit is list-ranked.  From each ruler a walker steps to the
-    next ruler, all walkers at once in whole-array rounds; then the
-    rulers are chained from dart 0, which gives each stretch between two
-    rulers its place in the walk.  successor marks each step onto a ruler
-    by adding length, so a walker stops where its dart leaves the range."""
+    The orbit is list-ranked.  From each ruler a walker steps to the next
+    ruler, all walkers at once in whole-array rounds; then the rulers are
+    chained from dart 0, which gives each stretch between two rulers its
+    place in the walk.  successor marks each step onto a ruler by adding
+    length, so a walker stops where its dart leaves the range."""
     length = len(successor)
-    if length < _LONG_DARTS:
-        tour = np.empty(length, dtype=np.int32)
-        out, succ, d = memoryview(tour), memoryview(successor), 0
-        for i in range(length):
-            out[i] = d
-            d = succ[d]
-        return None if np.count_nonzero(tour == 0) > 1 else tour
-
     marked = _is_ruler(successor)
     heads = np.sort(successor[marked])  # successor is a permutation
     successor[marked] += length
@@ -245,7 +229,7 @@ def _orbit_of_zero(successor) -> np.ndarray | None:
 
     following, sizes = np.searchsorted(heads, ends).tolist(), sizes.tolist()
     starts, total, w = [0] * len(sizes), 0, 0
-    while True:
+    for _ in sizes:  # each ruler of the orbit once, from dart 0 (none if no darts)
         starts[w] = total
         total += sizes[w]
         w = following[w]
@@ -279,7 +263,7 @@ def _totals(weights) -> tuple[int, int]:
 def _store(tree, totals, weights, offsets, neighbors, stops, darts) -> WeightedTree:
     """Fill tree (a new WeightedTree if None) with a validated tree's
     totals, its CSR arrays, its walk (the vertex of each stop, int64) and
-    the walk's next-visit gaps, built from darts (the int32 dart each stop
+    the walk's next-visit gaps, built from darts (the dart each stop
     takes), the arrays made read-only."""
     tree = WeightedTree.__new__(WeightedTree) if tree is None else tree
     tree.total_weight, tree.max_weight = totals
@@ -341,8 +325,7 @@ def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
     it all: both darts of an edge share a key, so a valid graph sorts into
     pairs of equal keys with different tails.  Where key << bits | dart
     fits in int64, one plain sort of those packed ints gives that order;
-    a stable argsort of the keys does it always, and is the faster of the
-    two on nearly sorted keys."""
+    past that, a stable argsort of the keys does it."""
     n = len(offsets) - 1
     tails = _tails(offsets)
     bad = np.flatnonzero((neighbors < 0) | (neighbors >= n) | (neighbors == tails))
@@ -354,7 +337,7 @@ def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
     keys *= n
     keys += np.maximum(tails, neighbors)
     bits = len(keys).bit_length()
-    if n * n << bits < 1 << 63 and not _nearly_sorted(keys, n):
+    if n * n << bits < 1 << 63:
         keys <<= bits
         keys |= np.arange(len(keys))
         keys.sort()
@@ -378,18 +361,6 @@ def _pair_darts(offsets, neighbors, error_cls) -> np.ndarray:
     reverse[order[0::2]] = order[1::2]
     reverse[order[1::2]] = order[0::2]
     return reverse
-
-
-def _nearly_sorted(keys, n) -> bool:
-    """Whether keys below n * n step between neighbors by less than
-    n * n / _SORTED_JUMP on average, judged at about 256 evenly spaced
-    places.  The keys of dual trees and of ring-like plane graphs do, and
-    a stable argsort (a merge of their few runs) sorts them up to twice
-    as fast as one plain sort of packed keys; those of random trees jump
-    about n * n / 7 and sort five times faster packed."""
-    step = len(keys) // 256 + 1
-    jumps = keys[1::step] - keys[:-1:step]
-    return int(np.abs(jumps, out=jumps).sum()) * _SORTED_JUMP < len(jumps) * n * n
 
 
 def _spans_subtree(tree: WeightedTree, vertices: np.ndarray) -> bool:

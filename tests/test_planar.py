@@ -16,6 +16,7 @@ from treewindow import (
     NotHamiltonianError,
     PlaneGraph,
     PreconditionError,
+    StructureError,
     TreeWindowError,
     build_dual_tree,
     cycle_search_guaranteed,
@@ -36,6 +37,8 @@ from treewindow.generators import (
     square_cycle,
     square_cycle_fanned,
 )
+from treewindow.planar import _dual_tree, _sides
+from treewindow.tree import _csr_tree
 from helpers import (
     FUZZ_TOKENS,
     chord_of,
@@ -48,6 +51,7 @@ from helpers import (
     oracle_parse_graph,
     oracle_split,
     oracle_trace,
+    oracle_tree_walk,
     oracle_verify_cycle,
     random_plane_hamiltonian,
 )
@@ -204,6 +208,60 @@ class TestDualTree:
         graph, ham = square_cycle(8)
         with pytest.raises(ValueError):
             build_dual_tree(graph, ham, "outside")
+
+    @pytest.mark.parametrize("make", [
+        lambda: square_cycle(100_000),
+        lambda: square_cycle_fanned(100_000),
+        lambda: small_face_ring(99_996),
+        lambda: malkevitch(1),
+        lambda: malkevitch(2),
+        lambda: malkevitch(7),
+    ], ids=["square-cycle", "fanned", "small-face-ring", "malkevitch-1", "malkevitch-2",
+            "malkevitch-7"])
+    def test_walk_matches_walked_tree(self, make):
+        """The walk read off the hamilton order is the one a tree build
+        walks on the same arrays."""
+        graph, ham = make()
+        for side in ("interior", "exterior"):
+            dual = build_dual_tree(graph, ham, side).tree
+            walked = _csr_tree(dual.weights.copy(), dual.offsets.copy(), dual.neighbors.copy())
+            assert np.array_equal(dual._stops, walked._stops)
+            assert np.array_equal(dual._gaps, walked._gaps)
+
+    @pytest.mark.parametrize("make", [square_cycle, square_cycle_fanned, small_face_ring])
+    def test_wrong_regions_refused(self, make):
+        """Moving any one face to the other region, with the regions named
+        either way round, leaves no tree to build; and with the regions
+        named the wrong way round alone, the walk read off the hamilton
+        order runs backwards and is refused."""
+        graph, ham = make(24)
+        seq, chord, in_a, a_inside, interior, turn = _sides(graph, ham)
+        cases = [(interior, not a_inside)]
+        for face in range(len(interior)):
+            flipped = interior.copy()
+            flipped[face] = ~flipped[face]
+            cases += [(flipped, a_inside), (flipped, not a_inside)]
+        for mask, a in cases:
+            for side in ("interior", "exterior"):
+                with pytest.raises(StructureError,
+                                   match=f"^face adjacency of the {side} region is not a tree"):
+                    _dual_tree(graph, (seq, chord, in_a, a, mask, turn), side)
+
+    def test_no_sort_and_no_walk(self, monkeypatch):
+        """Dual trees take neither the dart pairing sort nor the orbit walk
+        of a tree build."""
+        import treewindow.planar as planar_mod
+        import treewindow.tree as tree_mod
+
+        def refuse(*args):
+            raise AssertionError("called")
+        graph, ham = square_cycle(40)
+        for module, name in ((tree_mod, "_pair_darts"), (tree_mod, "_orbit_of_zero"),
+                             (planar_mod, "_pair_darts")):
+            monkeypatch.setattr(module, name, refuse)
+        for side in ("interior", "exterior"):
+            build_dual_tree(graph, ham, side)
+        assert find_cycle_near(graph, ham, 20, 2) is not None
 
 
 class TestSubtreeToCycle:
@@ -798,6 +856,8 @@ def test_planar_matches_oracles(n, seed, data):
         assert _same_faces(dual.faces, faces, not chords)
         assert dual.tree.adjacency == dual_rows
         assert dual.tree.weights.tolist() == weights
+        assert (dual.tree._stops.tolist(), dual.tree._gaps.tolist()) == oracle_tree_walk(
+            dual.tree.offsets, dual.tree.neighbors)
         assert chord_of(dual) == oracle_chords
         k = data.draw(st.integers(dual.tree.max_weight, n - 2), label="k")
         found = find_subtree(dual.tree, k, data.draw(st.integers(1, 3), label="g"))

@@ -30,8 +30,7 @@ from treewindow import (
     tight_instance,
 )
 from treewindow.generators import random_tree, square_cycle, square_cycle_fanned
-from treewindow.tree import (ORACLE_CELL_BOUND, _LONG_DARTS, _csr_tree, _is_ruler,
-                             _nearly_sorted, _pair_darts, _tails)
+from treewindow.tree import ORACLE_CELL_BOUND, _ROUND_WALKERS, _csr_tree, _is_ruler, _pair_darts
 from helpers import (FUZZ_TOKENS, naive_subtree_weights, oracle_pair_darts, oracle_parse_tree,
                      oracle_tree_walk, oracle_walk, walk_rotation)
 
@@ -111,8 +110,11 @@ class TestBuiltComplete:
 # The list-ranked walk and the packed pairing against scalar references
 # ---------------------------------------------------------------------------
 
-# Vertices of the smallest tree whose walk is list-ranked.
-RANKED = _LONG_DARTS // 2 + 1
+# Vertices of a tree of 2**15 darts, and of the smallest tree whose walk
+# holds _ROUND_WALKERS rulers, so that its walkers step a whole-array
+# round before the scalar loop (about 2**_RULER_BITS darts a ruler).
+RANKED = 16385
+FIRST_ROUND = 4083
 
 
 def _outcome(build, *args):
@@ -156,10 +158,11 @@ def _caterpillar_rows(spine, legs):
 
 class TestWalkAgainstScalar:
     """Every tree's stops and gaps equal those of the walk stepped one
-    dart at a time, on both sides of the size where walks are
-    list-ranked."""
+    dart at a time, on both sides of the size where the list ranking
+    starts whole-array rounds, and of 2**15 darts."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 50, RANKED - 1, RANKED, RANKED + 1, 3 * RANKED])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, FIRST_ROUND - 1, FIRST_ROUND, FIRST_ROUND + 1,
+                                   RANKED - 1, RANKED, RANKED + 1, 3 * RANKED])
     def test_random_trees(self, n):
         tree = random_tree(n, 9, n)
         assert (tree._stops.tolist(), tree._gaps.tolist()) == oracle_tree_walk(
@@ -177,6 +180,11 @@ class TestWalkAgainstScalar:
         tree = WeightedTree([1] * len(rows), rows)
         assert (tree._stops.tolist(), tree._gaps.tolist()) == oracle_tree_walk(
             tree.offsets, tree.neighbors)
+
+    def test_first_round_size(self):
+        rulers = np.count_nonzero(_is_ruler(np.arange(2 * FIRST_ROUND - 2)))
+        assert rulers == _ROUND_WALKERS
+        assert np.count_nonzero(_is_ruler(np.arange(2 * FIRST_ROUND - 4))) < rulers
 
     def test_ruler_free_stretch(self):
         """The walk of _ruler_free_path steps n - 1 darts before its second
@@ -245,35 +253,23 @@ def _two_parts(a, cycle):
     return rows
 
 
-def _pair_keys(offsets, neighbors):
-    """The pairing keys min * n + max of CSR arrays, and n."""
-    n, tails = len(offsets) - 1, _tails(offsets)
-    return np.minimum(tails, neighbors) * n + np.maximum(tails, neighbors), n
-
-
 class TestPairingSort:
-    """Darts are paired by a stable argsort where their keys are nearly
-    sorted and by a plain sort of packed keys elsewhere, with the same
-    reverse darts either way."""
+    """Darts paired by a plain sort of packed keys get the reverse darts of
+    a stable argsort, on nearly sorted keys as on random ones."""
 
     @pytest.mark.parametrize("n", [300, 3000, 6 * RANKED])
     def test_sortedness(self, n):
-        """From a few hundred darts up; below, either sort takes
-        microseconds and the sample may call either."""
         g, h = square_cycle(n)
         fanned, _ = square_cycle_fanned(n)
         duals = [build_dual_tree(g, h, side).tree for side in ("interior", "exterior")]
-        for offsets, neighbors, nearly in [(g.offsets, g.neighbors, True),
-                                           (fanned.offsets, fanned.neighbors, False),
-                                           *((d.offsets, d.neighbors, True) for d in duals)]:
-            assert _nearly_sorted(*_pair_keys(offsets, neighbors)) == nearly
+        tree = random_tree(n, 9, 1)
+        for offsets, neighbors in [(g.offsets, g.neighbors), (fanned.offsets, fanned.neighbors),
+                                   *((d.offsets, d.neighbors) for d in duals),
+                                   (tree.offsets, tree.neighbors)]:
             assert np.array_equal(_pair_darts(offsets, neighbors, NotATreeError),
                                   oracle_pair_darts(offsets, neighbors, NotATreeError))
-        tree = random_tree(n, 9, 1)
-        assert not _nearly_sorted(*_pair_keys(tree.offsets, tree.neighbors))
 
     def test_no_darts(self):
-        assert not _nearly_sorted(np.zeros(0, dtype=np.int64), 1)
         assert _pair_darts(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
                            NotATreeError).tolist() == []
 
@@ -310,12 +306,9 @@ class TestErrorsAgainstScalar:
 
     @pytest.mark.parametrize("shape", ["random", "path"])
     def test_ranked_fuzz(self, shape):
-        """Random trees pair their darts by the packed sort, paths by the
-        stable argsort."""
         rng = random.Random(12)
         rows = ([list(row) for row in random_tree(RANKED + 100, 3, 7).adjacency]
                 if shape == "random" else _path_rows(RANKED + 100))
-        assert _nearly_sorted(*_pair_keys(*_csr_arrays(rows))) == (shape == "path")
         for _ in range(16):
             self._check(_mutate_rows(rng, rows))
 
